@@ -7,9 +7,10 @@
 // template; updates insert `delta` fresh rows. Both FM and IMP start
 // without sketches; capture and maintenance cost is included (Sec. 8.1).
 //
-// Deviation noted in EXPERIMENTS.md: the paper's Q_endtoend uses AVG
-// between two thresholds; we use the monotone SUM-threshold variant so the
-// [37] reuse check accepts template reuse across constants.
+// Deviation from the paper: its Q_endtoend keeps the groups whose AVG
+// lies between two thresholds; this bench uses the monotone
+// SUM > threshold variant instead, so the [37] reuse check accepts
+// template reuse across constants.
 
 // Extended for the batched maintenance pipeline: every configuration's
 // per-phase timings (capture / maintain / query / update) and ops/sec go to

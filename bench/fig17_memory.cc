@@ -101,44 +101,34 @@ void RunJoin() {
   table.Print();
 }
 
-// Base-table bytes/row under the boxed Value layout vs the typed
-// ColumnVector layout (unboxed int64/double payloads, dictionary-or-flat
-// string arena). Same rows, twin databases — the difference is pure layout.
+// Base-table bytes/row of the typed ColumnVector layout (unboxed
+// int64/double payloads, dictionary-or-flat string arena).
 void RunStorageLayout() {
-  std::printf("\n-- Fig 17c: base table bytes/row, boxed vs typed layout --\n");
-  bench::SeriesTable table(
-      "table", {"boxed B/row", "typed B/row", "boxed/typed"});
-  auto report = [&](const char* label, const Database& boxed,
-                    const Database& typed, const char* name) {
-    double rows = static_cast<double>(boxed.GetTable(name)->NumRows());
-    double b = static_cast<double>(boxed.GetTable(name)->MemoryBytes()) / rows;
-    double t = static_cast<double>(typed.GetTable(name)->MemoryBytes()) / rows;
-    table.AddRow(label, {b, t, b / t});
+  std::printf("\n-- Fig 17c: base table bytes/row --\n");
+  bench::SeriesTable table("table", {"B/row"});
+  auto report = [&](const char* label, const Database& db, const char* name) {
+    const Table* t = db.GetTable(name);
+    table.AddRow(label, {static_cast<double>(t->MemoryBytes()) /
+                         static_cast<double>(t->NumRows())});
   };
-
-  DatabaseOptions boxed_opts;
-  boxed_opts.typed_columns = false;
   {
-    // Numeric: the synthetic Q_groups table (int keys, double payloads).
-    Database boxed(boxed_opts), typed;
+    // Numeric: the synthetic Q_groups table (INT columns only).
+    Database db;
     SyntheticSpec spec;
     spec.name = "t";
     spec.num_rows = bench::ScaledRows(100000);
-    IMP_CHECK(CreateSyntheticTable(&boxed, spec).ok());
-    IMP_CHECK(CreateSyntheticTable(&typed, spec).ok());
-    report("numeric", boxed, typed, "t");
+    IMP_CHECK(CreateSyntheticTable(&db, spec).ok());
+    report("numeric", db, "t");
   }
   {
-    // String-heavy: a low-cardinality tag column (dictionary win) plus a
-    // wide distinct message column (shared-arena win).
-    Database boxed(boxed_opts), typed;
+    // String-heavy: a low-cardinality tag column (dictionary) plus a wide
+    // distinct message column (shared arena).
+    Database db;
     Schema schema;
     schema.AddColumn("id", ValueType::kInt);
     schema.AddColumn("tag", ValueType::kString);
     schema.AddColumn("msg", ValueType::kString);
-    for (Database* db : {&boxed, &typed}) {
-      IMP_CHECK(db->CreateTable("s", schema).ok());
-    }
+    IMP_CHECK(db.CreateTable("s", schema).ok());
     Rng rng(5);
     std::vector<Tuple> rows;
     size_t n = bench::ScaledRows(100000);
@@ -150,10 +140,8 @@ void RunStorageLayout() {
                 Value::String("message-payload-" +
                               std::to_string(rng.UniformInt(0, 1 << 20)))});
     }
-    for (Database* db : {&boxed, &typed}) {
-      IMP_CHECK(db->BulkLoad("s", rows).ok());
-    }
-    report("strings", boxed, typed, "s");
+    IMP_CHECK(db.BulkLoad("s", rows).ok());
+    report("strings", db, "s");
   }
   table.Print();
 }

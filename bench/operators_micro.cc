@@ -1,23 +1,15 @@
-// Operator microbenchmarks, three parts:
+// Operator microbenchmarks, two parts:
 //
-//   1. The PR 7 vectorized-kernel smoke (always built, runs first): the
-//      filter-annotate / delta-filter / bloom-probe hot paths measured
-//      scalar vs batch-at-a-time, rows/sec per operator, merged into
-//      BENCH_PR7.json. Correctness is HARD-GATED — the vectorized results
-//      must be bit-identical to the scalar baseline and the compiled
-//      kernels must actually run (vectorized_batches > 0) or the binary
-//      exits non-zero. The >=2x speedup bar is recorded in the JSON and
-//      enforced only with IMP_BENCH_ENFORCE_SPEEDUP=1 (shared CI runners
-//      are too noisy to gate wall-clock).
+//   1. The kernel smoke (always built, runs first): the filter-annotate,
+//      delta-filter, aggregate-build and join-key-hash hot paths over the
+//      typed chunk columns, timed in rows/sec and merged into
+//      BENCH_PR7.json. Correctness is HARD-GATED against test-side
+//      oracles — row-at-a-time Expr::Eval filtering plus per-row
+//      annotation, the row-at-a-time AnnotatedExecutor, folded
+//      Value::Hash — and the compiled kernels must actually run
+//      (vectorized_batches > 0), or the binary exits non-zero.
 //
-//   2. The PR 10 typed-column smoke (always built, runs second): the same
-//      hot paths measured over the typed ColumnVector chunk layout vs the
-//      legacy boxed Value layout (twin databases, identical rows), plus
-//      batch join-key hashing off the typed arrays. Bit-identicality across
-//      layouts and typed-chunk engagement are HARD-GATED; results merge
-//      into BENCH_PR10.json.
-//
-//   3. google-benchmark per-operator scaling checks matching the
+//   2. google-benchmark per-operator scaling checks matching the
 //      complexity analysis of Sec. 5.3 — O(n) stateless operators, O(n·p)
 //      aggregation, O(log l) ordered-state updates, O(1) bloom probes,
 //      O(log p) fragment lookup. Compiled only when Google Benchmark is
@@ -37,6 +29,7 @@
 #include "bench_util.h"
 #include "common/bloom_filter.h"
 #include "common/hash.h"
+#include "exec/annotated_executor.h"
 #include "exec/vector_kernels.h"
 #include "imp/inc_aggregate.h"
 #include "imp/inc_operators.h"
@@ -46,8 +39,6 @@
 
 namespace imp {
 namespace {
-
-// ---- PR 7 smoke: vectorized kernels vs scalar row-at-a-time ----------------
 
 ExprPtr ColA() { return MakeColumnRef(1, "a", ValueType::kInt); }
 ExprPtr IntLit(int64_t v) { return MakeLiteral(Value::Int(v)); }
@@ -69,43 +60,40 @@ bool SameAnnotatedRelation(const AnnotatedRelation& a,
   if (a.rows.size() != b.rows.size()) return false;
   for (size_t i = 0; i < a.rows.size(); ++i) {
     if (!(a.rows[i].row == b.rows[i].row)) return false;
-    if (!(a.rows[i].sketch == b.rows[i].sketch)) return false;
+    if (a.rows[i].sketch.SetBits() != b.rows[i].sketch.SetBits()) return false;
   }
   return true;
 }
 
-bool SameAnnotatedDelta(const AnnotatedDelta& a, const AnnotatedDelta& b) {
-  if (a.rows.size() != b.rows.size()) return false;
-  for (size_t i = 0; i < a.rows.size(); ++i) {
-    if (!(a.rows[i].row == b.rows[i].row)) return false;
-    if (!(a.rows[i].sketch == b.rows[i].sketch)) return false;
-    if (a.rows[i].mult != b.rows[i].mult) return false;
+/// (row, fragments) pairs in a canonical order, for unordered outputs.
+std::vector<std::pair<Tuple, std::vector<size_t>>> SortedRows(
+    const AnnotatedRelation& rel) {
+  std::vector<std::pair<Tuple, std::vector<size_t>>> out;
+  out.reserve(rel.rows.size());
+  for (const AnnotatedRow& ar : rel.rows) {
+    out.emplace_back(ar.row, ar.sketch.SetBits());
   }
-  return true;
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return TupleLess()(a.first, b.first);
+  });
+  return out;
 }
 
 int Fail(const char* what) {
-  std::fprintf(stderr, "FAIL (pr7 smoke): %s\n", what);
-  return 1;
-}
-
-int Fail10(const char* what) {
-  std::fprintf(stderr, "FAIL (pr10 smoke): %s\n", what);
+  std::fprintf(stderr, "FAIL (kernel smoke): %s\n", what);
   return 1;
 }
 
 }  // namespace
 
-/// Runs the vectorized-kernel smoke; returns non-zero on any gate failure.
-int RunPr7Smoke() {
+/// Runs the kernel smoke; returns non-zero on any gate failure.
+int RunKernelSmoke() {
   bench::PrintFigureHeader(
-      "PR7", "Vectorized columnar kernels: per-operator rows/sec vs scalar");
+      "Kernels", "Columnar operator kernels: rows/sec, oracle-checked");
 
   // Unclustered base data on purpose: with cluster_by_a the zone maps
-  // would let the vectorized path skip most chunks outright, measuring
-  // pruning rather than the kernels. Unclustered, every chunk survives
-  // zone filtering on both paths and the comparison isolates the
-  // batch-at-a-time evaluation itself.
+  // would let the scan skip most chunks outright, measuring pruning rather
+  // than the kernels.
   SyntheticSpec spec;
   spec.name = "t";
   spec.num_rows = bench::ScaledRows(200000);
@@ -119,58 +107,49 @@ int RunPr7Smoke() {
                     "t", "a", 1, 0,
                     static_cast<int64_t>(spec.num_groups) - 1, 64))
                 .ok());
+  const Schema& schema = db.GetTable("t")->schema();
+  auto annotate = [&](const std::string& table, const Tuple& row,
+                      BitVector* out) { catalog.AnnotateRow(table, row, out); };
 
   ExprPtr pred = RangeSetPredicate();
   if (!PredicateKernel::Compile(pred).fully_vectorized()) {
     return Fail("range-set predicate did not compile fully vectorized");
   }
 
-  bench::JsonReport report("pr7_vectorized_kernels", "BENCH_PR7.json");
-  bench::SeriesTable table(
-      "operator", {"scalar Mrows/s", "vector Mrows/s", "speedup"});
+  bench::JsonReport report("operator_kernels", "BENCH_PR7.json");
+  bench::SeriesTable table("operator", {"Mrows/s"});
+  const double rows = static_cast<double>(spec.num_rows);
 
   // ---- filter-annotate (IncScan::Build capture path) -----------------------
   // The hot path of sketch capture: scan every base chunk, filter, and
   // annotate survivors with their partition fragment.
-  MaintainStats stats_vec;
-  MaintainStats stats_sca;
-  IncScan scan_vec("t", pred, &db, &catalog, db.GetTable("t")->schema(),
-                   &stats_vec, /*vectorized=*/true);
-  IncScan scan_sca("t", pred, &db, &catalog, db.GetTable("t")->schema(),
-                   &stats_sca, /*vectorized=*/false);
-
-  Result<AnnotatedRelation> built_vec = scan_vec.Build(DeltaContext{});
-  Result<AnnotatedRelation> built_sca = scan_sca.Build(DeltaContext{});
-  IMP_CHECK(built_vec.ok() && built_sca.ok());
-  if (!SameAnnotatedRelation(built_vec.value(), built_sca.value())) {
-    return Fail("filter-annotate: vectorized capture not bit-identical");
+  MaintainStats stats;
+  IncScan scan("t", pred, &db, &catalog, schema, &stats);
+  Result<AnnotatedRelation> built = scan.Build(DeltaContext{});
+  IMP_CHECK(built.ok());
+  AnnotatedRelation oracle;
+  db.GetTable("t")->Snapshot()->ForEachRow([&](const Tuple& row) {
+    if (!pred->Eval(row).IsTrue()) return;
+    AnnotatedRow ar{row, BitVector()};
+    catalog.AnnotateRow("t", row, &ar.sketch);
+    oracle.rows.push_back(std::move(ar));
+  });
+  if (!SameAnnotatedRelation(built.value(), oracle)) {
+    return Fail("filter-annotate differs from the row-at-a-time oracle");
   }
-  if (stats_vec.vectorized_batches == 0) {
+  if (stats.vectorized_batches == 0) {
     return Fail("filter-annotate: vectorized_batches == 0 (kernels idle)");
   }
-  if (stats_sca.vectorized_batches != 0) {
-    return Fail("filter-annotate: scalar baseline counted kernel batches");
-  }
-
-  double t_fa_vec = bench::MedianSeconds([&] {
-    Result<AnnotatedRelation> r = scan_vec.Build(DeltaContext{});
+  double t_fa = bench::MedianSeconds([&] {
+    Result<AnnotatedRelation> r = scan.Build(DeltaContext{});
     IMP_CHECK(r.ok());
   });
-  double t_fa_sca = bench::MedianSeconds([&] {
-    Result<AnnotatedRelation> r = scan_sca.Build(DeltaContext{});
-    IMP_CHECK(r.ok());
-  });
-  double rows = static_cast<double>(spec.num_rows);
-  double fa_speedup = t_fa_sca / t_fa_vec;
-  table.AddRow("filter_annotate",
-               {rows / t_fa_sca / 1e6, rows / t_fa_vec / 1e6, fa_speedup});
-  report.Add("filter_annotate", "rows_per_sec_scalar", rows / t_fa_sca);
-  report.Add("filter_annotate", "rows_per_sec_vectorized", rows / t_fa_vec);
-  report.Add("filter_annotate", "speedup", fa_speedup);
+  table.AddRow("filter_annotate", {rows / t_fa / 1e6});
+  report.Add("filter_annotate", "rows_per_sec", rows / t_fa);
   report.Add("filter_annotate", "vectorized_batches",
-             static_cast<double>(stats_vec.vectorized_batches));
+             static_cast<double>(stats.vectorized_batches));
   report.Add("filter_annotate", "scalar_fallback_rows",
-             static_cast<double>(stats_vec.scalar_fallback_rows));
+             static_cast<double>(stats.scalar_fallback_rows));
 
   // ---- delta filter (IncScan::Process push-down path) ----------------------
   // The maintenance-round hot path: refine a borrowed delta batch's
@@ -189,320 +168,113 @@ int RunPr7Smoke() {
   }
   DeltaContext ctx =
       MakeDeltaContext({db.ScanDelta("t", from, db.CurrentVersion())}, catalog);
-  const size_t delta_rows = ctx.FindBatch("t")->size();
-
-  stats_vec.Reset();
-  stats_sca.Reset();
-  Result<DeltaBatch> out_vec = scan_vec.Process(ctx);
-  Result<DeltaBatch> out_sca = scan_sca.Process(ctx);
-  IMP_CHECK(out_vec.ok() && out_sca.ok());
-  MaintainStats scratch;
-  if (!SameAnnotatedDelta(out_vec.value().View().Materialize(&scratch),
-                          out_sca.value().View().Materialize(&scratch))) {
-    return Fail("delta-filter: vectorized push-down not bit-identical");
+  const DeltaBatch* delta = ctx.FindBatch("t");
+  stats.Reset();
+  Result<DeltaBatch> filtered = scan.Process(ctx);
+  IMP_CHECK(filtered.ok());
+  std::vector<Tuple> kept, expected;
+  filtered.value().ForEachRow(
+      [&](const AnnotatedDeltaRow& r) { kept.push_back(r.row); });
+  delta->ForEachRow([&](const AnnotatedDeltaRow& r) {
+    if (pred->Eval(r.row).IsTrue()) expected.push_back(r.row);
+  });
+  if (kept != expected) {
+    return Fail("delta-filter differs from the row-at-a-time oracle");
   }
-  if (stats_vec.vectorized_batches == 0) {
+  if (stats.vectorized_batches == 0) {
     return Fail("delta-filter: vectorized_batches == 0 (kernels idle)");
   }
-
-  double t_df_vec = bench::MedianSeconds([&] {
-    Result<DeltaBatch> r = scan_vec.Process(ctx);
+  double t_df = bench::MedianSeconds([&] {
+    Result<DeltaBatch> r = scan.Process(ctx);
     IMP_CHECK(r.ok());
   });
-  double t_df_sca = bench::MedianSeconds([&] {
-    Result<DeltaBatch> r = scan_sca.Process(ctx);
-    IMP_CHECK(r.ok());
-  });
-  double drows = static_cast<double>(delta_rows);
-  double df_speedup = t_df_sca / t_df_vec;
-  table.AddRow("delta_filter",
-               {drows / t_df_sca / 1e6, drows / t_df_vec / 1e6, df_speedup});
-  report.Add("delta_filter", "rows_per_sec_scalar", drows / t_df_sca);
-  report.Add("delta_filter", "rows_per_sec_vectorized", drows / t_df_vec);
-  report.Add("delta_filter", "speedup", df_speedup);
-
-  // ---- bloom probe (IncJoin delta pruning) ---------------------------------
-  {
-    BloomFilter bf(100000);
-    for (uint64_t i = 0; i < 100000; ++i) bf.AddHash(HashInt64(i));
-    size_t n = bench::ScaledRows(1000000);
-    std::vector<uint64_t> hashes(n);
-    for (size_t i = 0; i < n; ++i) {
-      // Half the probes hit inserted keys, half miss.
-      hashes[i] = HashInt64(static_cast<int64_t>(i % 200000));
-    }
-    BitVector batched;
-    bf.MayContainHashes(hashes.data(), n, &batched);
-    for (size_t i = 0; i < n; ++i) {
-      if (batched.Test(i) != bf.MayContainHash(hashes[i])) {
-        return Fail("bloom: batched probe not bit-identical to single probe");
-      }
-    }
-    double t_single = bench::MedianSeconds([&] {
-      size_t hits = 0;
-      for (size_t i = 0; i < n; ++i) hits += bf.MayContainHash(hashes[i]);
-      // The count keeps the loop from being optimized away.
-      if (hits == 0) std::fprintf(stderr, "unexpected: zero bloom hits\n");
-    });
-    double t_batch = bench::MedianSeconds([&] {
-      BitVector out;
-      bf.MayContainHashes(hashes.data(), n, &out);
-      if (out.Count() == 0) std::fprintf(stderr, "unexpected: empty probe\n");
-    });
-    double dn = static_cast<double>(n);
-    table.AddRow("bloom_probe", {dn / t_single / 1e6, dn / t_batch / 1e6,
-                                 t_single / t_batch});
-    report.Add("bloom_probe", "probes_per_sec_single", dn / t_single);
-    report.Add("bloom_probe", "probes_per_sec_batched", dn / t_batch);
-    report.Add("bloom_probe", "speedup", t_single / t_batch);
-  }
-
-  table.Print();
-  report.Add("gates", "bit_identical", 1.0);
-  report.Add("gates", "vectorized_batches_nonzero", 1.0);
-  report.Write();
-  const char* json_env = std::getenv("IMP_BENCH_JSON");
-  std::printf("pr7 smoke: bit-identical, kernels engaged; report -> %s\n",
-              json_env != nullptr ? json_env : "BENCH_PR7.json");
-
-  // Wall-clock bar (acceptance: >=2x on the filter-annotate kernel),
-  // enforced only on perf-controlled hardware.
-  if (std::getenv("IMP_BENCH_ENFORCE_SPEEDUP") != nullptr &&
-      fa_speedup < 2.0) {
-    std::fprintf(stderr, "FAIL: filter_annotate speedup %.2fx < 2.0x\n",
-                 fa_speedup);
-    return 1;
-  }
-  return 0;
-}
-
-/// The PR 10 typed-column smoke: the same operators measured over the typed
-/// ColumnVector chunk layout vs the legacy boxed layout (twin databases,
-/// identical rows, vectorized kernels on in BOTH — the comparison isolates
-/// the storage layout). Bit-identicality of every operator's output across
-/// layouts is HARD-GATED, as is the typed layout actually engaging
-/// (typed_chunks > 0); results merge into BENCH_PR10.json. The >=2x bar on
-/// filter-annotate or aggregation is enforced under IMP_BENCH_ENFORCE_SPEEDUP.
-int RunPr10Smoke() {
-  bench::PrintFigureHeader(
-      "PR10", "Typed columnar chunk layout: per-operator rows/sec vs boxed");
-
-  SyntheticSpec spec;
-  spec.name = "t";
-  spec.num_rows = bench::ScaledRows(200000);
-  spec.num_groups = 500;
-  spec.cluster_by_a = false;  // see RunPr7Smoke: isolate evaluation, not pruning
-  DatabaseOptions boxed_opts;
-  boxed_opts.typed_columns = false;
-  Database db_typed;
-  Database db_boxed(boxed_opts);
-  IMP_CHECK(CreateSyntheticTable(&db_typed, spec).ok());
-  IMP_CHECK(CreateSyntheticTable(&db_boxed, spec).ok());
-  PartitionCatalog catalog;
-  IMP_CHECK(catalog
-                .Register(RangePartition::EquiWidthInt(
-                    "t", "a", 1, 0,
-                    static_cast<int64_t>(spec.num_groups) - 1, 64))
-                .ok());
-
-  Database::TypedColumnStats tstats = db_typed.AggregateTypedColumnStats();
-  if (tstats.typed_chunks == 0) {
-    return Fail10("typed database published no typed chunks");
-  }
-  if (db_boxed.AggregateTypedColumnStats().typed_chunks != 0) {
-    return Fail10("boxed database published typed chunks");
-  }
-
-  bench::JsonReport report("pr10_typed_columns", "BENCH_PR10.json");
-  bench::SeriesTable table(
-      "operator", {"boxed Mrows/s", "typed Mrows/s", "speedup"});
-  double rows = static_cast<double>(spec.num_rows);
-
-  // ---- filter-annotate (IncScan::Build capture path) -----------------------
-  // Identical to the PR 7 hot path, but boxed-vs-typed instead of
-  // scalar-vs-vectorized: leaf predicate evaluation runs over raw int64
-  // arrays on the typed side and over Value vectors on the boxed side.
-  ExprPtr pred = RangeSetPredicate();
-  MaintainStats st_typed, st_boxed;
-  IncScan scan_typed("t", pred, &db_typed, &catalog,
-                     db_typed.GetTable("t")->schema(), &st_typed,
-                     /*vectorized=*/true);
-  IncScan scan_boxed("t", pred, &db_boxed, &catalog,
-                     db_boxed.GetTable("t")->schema(), &st_boxed,
-                     /*vectorized=*/true);
-  Result<AnnotatedRelation> fa_typed = scan_typed.Build(DeltaContext{});
-  Result<AnnotatedRelation> fa_boxed = scan_boxed.Build(DeltaContext{});
-  IMP_CHECK(fa_typed.ok() && fa_boxed.ok());
-  if (!SameAnnotatedRelation(fa_typed.value(), fa_boxed.value())) {
-    return Fail10("filter-annotate: typed layout not bit-identical to boxed");
-  }
-  if (st_typed.vectorized_batches == 0) {
-    return Fail10("filter-annotate: vectorized_batches == 0 on typed layout");
-  }
-  double t_fa_typed = bench::MedianSeconds([&] {
-    Result<AnnotatedRelation> r = scan_typed.Build(DeltaContext{});
-    IMP_CHECK(r.ok());
-  });
-  double t_fa_boxed = bench::MedianSeconds([&] {
-    Result<AnnotatedRelation> r = scan_boxed.Build(DeltaContext{});
-    IMP_CHECK(r.ok());
-  });
-  double fa_speedup = t_fa_boxed / t_fa_typed;
-  table.AddRow("filter_annotate",
-               {rows / t_fa_boxed / 1e6, rows / t_fa_typed / 1e6, fa_speedup});
-  report.Add("filter_annotate", "rows_per_sec_boxed", rows / t_fa_boxed);
-  report.Add("filter_annotate", "rows_per_sec_typed", rows / t_fa_typed);
-  report.Add("filter_annotate", "speedup", fa_speedup);
+  const double drows = static_cast<double>(delta->size());
+  table.AddRow("delta_filter", {drows / t_df / 1e6});
+  report.Add("delta_filter", "rows_per_sec", drows / t_df);
 
   // ---- aggregate build (scan + group-by over the full table) ---------------
-  // SUM/COUNT group-by sourced from a full unfiltered scan: the typed side
-  // gathers rows column-at-a-time from unboxed arrays and pre-resolves its
-  // group-key / argument column refs (Options::kernelized).
-  auto build_agg = [&](Database* db, bool kernelized,
-                       MaintainStats* stats) -> Result<AnnotatedRelation> {
-    auto scan = std::make_unique<IncScan>("t", nullptr, db, &catalog,
-                                          db->GetTable("t")->schema(), stats,
-                                          /*vectorized=*/true);
-    std::vector<ExprPtr> groups = {MakeColumnRef(1, "a", ValueType::kInt)};
-    std::vector<AggSpec> aggs = {
-        {AggFunc::kSum, MakeColumnRef(2, "b", ValueType::kInt), "s"},
-        {AggFunc::kCount, nullptr, "n"}};
-    Schema out;
-    out.AddColumn("a", ValueType::kInt);
-    out.AddColumn("s", ValueType::kInt);
-    out.AddColumn("n", ValueType::kInt);
-    IncAggregate::Options aopts;
-    aopts.kernelized = kernelized;
-    IncAggregate agg(std::move(scan), groups, aggs, out, aopts, stats);
+  // SUM/COUNT group-by straight off the chunk columns (TryBuildColumnar);
+  // the row-at-a-time AnnotatedExecutor over the same plan is the oracle.
+  std::vector<ExprPtr> groups = {MakeColumnRef(1, "a", ValueType::kInt)};
+  std::vector<AggSpec> aggs = {
+      {AggFunc::kSum, MakeColumnRef(2, "b", ValueType::kInt), "s"},
+      {AggFunc::kCount, nullptr, "n"}};
+  PlanPtr agg_plan = MakeAggregate(MakeScan("t", schema), groups, {"a"}, aggs);
+  auto build_agg = [&]() -> Result<AnnotatedRelation> {
+    IncAggregate agg(std::make_unique<IncScan>("t", nullptr, &db, &catalog,
+                                               schema, &stats),
+                     groups, aggs, agg_plan->output_schema(),
+                     IncAggregate::Options{}, &stats);
     return agg.Build(DeltaContext{});
   };
-  Result<AnnotatedRelation> ag_typed =
-      build_agg(&db_typed, /*kernelized=*/true, &st_typed);
-  Result<AnnotatedRelation> ag_boxed =
-      build_agg(&db_boxed, /*kernelized=*/false, &st_boxed);
-  IMP_CHECK(ag_typed.ok() && ag_boxed.ok());
-  auto sorted_rows = [](const AnnotatedRelation& rel) {
-    std::vector<std::pair<Tuple, BitVector>> out;
-    out.reserve(rel.rows.size());
-    for (const AnnotatedRow& ar : rel.rows) out.emplace_back(ar.row, ar.sketch);
-    std::sort(out.begin(), out.end(),
-              [](const auto& a, const auto& b) {
-                return TupleLess()(a.first, b.first);
-              });
-    return out;
-  };
-  if (sorted_rows(ag_typed.value()) != sorted_rows(ag_boxed.value())) {
-    return Fail10("aggregate: typed layout not bit-identical to boxed");
+  Result<AnnotatedRelation> agg_built = build_agg();
+  Result<AnnotatedRelation> agg_oracle =
+      AnnotatedExecutor(&db, annotate).Execute(agg_plan);
+  IMP_CHECK(agg_built.ok() && agg_oracle.ok());
+  if (SortedRows(agg_built.value()) != SortedRows(agg_oracle.value())) {
+    return Fail("aggregate build differs from the AnnotatedExecutor");
   }
-  double t_ag_typed = bench::MedianSeconds([&] {
-    Result<AnnotatedRelation> r =
-        build_agg(&db_typed, /*kernelized=*/true, &st_typed);
-    IMP_CHECK(r.ok());
-  });
-  double t_ag_boxed = bench::MedianSeconds([&] {
-    Result<AnnotatedRelation> r =
-        build_agg(&db_boxed, /*kernelized=*/false, &st_boxed);
-    IMP_CHECK(r.ok());
-  });
-  double ag_speedup = t_ag_boxed / t_ag_typed;
-  table.AddRow("aggregate_build",
-               {rows / t_ag_boxed / 1e6, rows / t_ag_typed / 1e6, ag_speedup});
-  report.Add("aggregate", "rows_per_sec_boxed", rows / t_ag_boxed);
-  report.Add("aggregate", "rows_per_sec_typed", rows / t_ag_typed);
-  report.Add("aggregate", "speedup", ag_speedup);
+  const double all_rows = static_cast<double>(db.GetTable("t")->NumRows());
+  double t_ag = bench::MedianSeconds([&] { IMP_CHECK(build_agg().ok()); });
+  table.AddRow("aggregate_build", {all_rows / t_ag / 1e6});
+  report.Add("aggregate", "rows_per_sec", all_rows / t_ag);
 
   // ---- join-key hashing over chunk columns ---------------------------------
   // Batch key hashing straight off the typed arrays (NULL-aware, dictionary
-  // strings hashed once per distinct) vs reboxing every cell and calling
-  // Value::Hash — over a mixed int/double/string key table.
+  // strings hashed once per distinct) over a mixed int/double/string key
+  // table; folding Value::Hash per cell is the oracle.
   {
     Schema kschema;
     kschema.AddColumn("kid", ValueType::kInt);
     kschema.AddColumn("kv", ValueType::kDouble);
     kschema.AddColumn("kt", ValueType::kString);
-    for (Database* db : {&db_typed, &db_boxed}) {
-      IMP_CHECK(db->CreateTable("k", kschema).ok());
-    }
-    Rng rng(9);
+    IMP_CHECK(db.CreateTable("k", kschema).ok());
+    Rng krng(9);
     size_t n = bench::ScaledRows(200000);
     std::vector<Tuple> krows;
     krows.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       krows.push_back(Tuple{
           Value::Int(static_cast<int64_t>(i)),
-          rng.Chance(0.1) ? Value::Null()
-                          : Value::Double(rng.UniformDouble(-1e6, 1e6)),
-          Value::String("k" + std::to_string(rng.UniformInt(0, 49)))});
+          krng.Chance(0.1) ? Value::Null()
+                           : Value::Double(krng.UniformDouble(-1e6, 1e6)),
+          Value::String("k" + std::to_string(krng.UniformInt(0, 49)))});
     }
-    for (Database* db : {&db_typed, &db_boxed}) {
-      IMP_CHECK(db->BulkLoad("k", krows).ok());
-    }
+    IMP_CHECK(db.BulkLoad("k", krows).ok());
     constexpr uint64_t kKeySeed = 0x2545f4914f6cdd1dULL;  // IncJoin's seed
-    auto typed_hashes = [&](std::vector<uint64_t>* out) {
-      out->clear();
-      auto snap = db_typed.GetTable("k")->Snapshot();
+    auto snap = db.GetTable("k")->Snapshot();
+    std::vector<uint64_t> hashes;
+    auto batch_hashes = [&] {
+      hashes.clear();
       for (const auto& chunk : snap->chunks()) {
         std::vector<uint64_t> h(chunk->num_rows(), kKeySeed);
         for (size_t c = 0; c < 3; ++c) {
           chunk->column(c).AppendKeyHashes(chunk->num_rows(), &h);
         }
-        out->insert(out->end(), h.begin(), h.end());
+        hashes.insert(hashes.end(), h.begin(), h.end());
       }
     };
-    auto boxed_hashes = [&](std::vector<uint64_t>* out) {
-      out->clear();
-      auto snap = db_boxed.GetTable("k")->Snapshot();
-      for (const auto& chunk : snap->chunks()) {
-        std::vector<uint64_t> h(chunk->num_rows(), kKeySeed);
-        for (size_t c = 0; c < 3; ++c) {
-          for (size_t r = 0; r < chunk->num_rows(); ++r) {
-            h[r] = HashCombine(h[r], chunk->At(r, c).Hash());
-          }
-        }
-        out->insert(out->end(), h.begin(), h.end());
+    batch_hashes();
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t h = kKeySeed;
+      for (const Value& v : krows[i]) h = HashCombine(h, v.Hash());
+      if (hashes[i] != h) {
+        return Fail("join-key hash differs from folded Value::Hash");
       }
-    };
-    std::vector<uint64_t> h_typed, h_boxed;
-    typed_hashes(&h_typed);
-    boxed_hashes(&h_boxed);
-    if (h_typed != h_boxed) {
-      return Fail10("join-key hash: typed batch hashes != boxed Value::Hash");
     }
-    double t_jk_typed = bench::MedianSeconds([&] { typed_hashes(&h_typed); });
-    double t_jk_boxed = bench::MedianSeconds([&] { boxed_hashes(&h_boxed); });
-    double dn = static_cast<double>(n);
-    double jk_speedup = t_jk_boxed / t_jk_typed;
-    table.AddRow("join_key_hash", {dn / t_jk_boxed / 1e6, dn / t_jk_typed / 1e6,
-                                   jk_speedup});
-    report.Add("join_key_hash", "rows_per_sec_boxed", dn / t_jk_boxed);
-    report.Add("join_key_hash", "rows_per_sec_typed", dn / t_jk_typed);
-    report.Add("join_key_hash", "speedup", jk_speedup);
+    double t_jk = bench::MedianSeconds(batch_hashes);
+    const double dn = static_cast<double>(n);
+    table.AddRow("join_key_hash", {dn / t_jk / 1e6});
+    report.Add("join_key_hash", "rows_per_sec", dn / t_jk);
   }
 
   table.Print();
-  report.Add("gates", "bit_identical", 1.0);
-  report.Add("gates", "typed_chunks",
-             static_cast<double>(tstats.typed_chunks));
-  report.Add("gates", "boxed_fallback_cells",
-             static_cast<double>(tstats.boxed_fallback_cells));
+  report.Add("gates", "oracle_identical", 1.0);
+  report.Add("gates", "vectorized_batches_nonzero", 1.0);
   report.Write();
   const char* json_env = std::getenv("IMP_BENCH_JSON");
-  std::printf(
-      "pr10 smoke: bit-identical across layouts, %llu typed chunks; "
-      "report -> %s\n",
-      static_cast<unsigned long long>(tstats.typed_chunks),
-      json_env != nullptr ? json_env : "BENCH_PR10.json");
-
-  // Acceptance bar: >=2x on filter-annotate OR aggregation, enforced only
-  // on perf-controlled hardware.
-  if (std::getenv("IMP_BENCH_ENFORCE_SPEEDUP") != nullptr &&
-      fa_speedup < 2.0 && ag_speedup < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: neither filter_annotate (%.2fx) nor aggregate "
-                 "(%.2fx) reached 2.0x\n",
-                 fa_speedup, ag_speedup);
-    return 1;
-  }
+  std::printf("kernel smoke: oracle-identical, kernels engaged; report -> %s\n",
+              json_env != nullptr ? json_env : "BENCH_PR7.json");
   return 0;
 }
 
@@ -577,7 +349,7 @@ void BM_BloomProbeBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomProbeBatched)->Arg(1024)->Arg(65536);
 
-// ---- Predicate kernel vs scalar Expr::Eval over base chunks -------------------
+// ---- Predicate kernel over base chunks --------------------------------------
 
 void BM_PredicateKernelChunk(benchmark::State& state) {
   SyntheticSpec spec;
@@ -600,30 +372,6 @@ void BM_PredicateKernelChunk(benchmark::State& state) {
                           static_cast<int64_t>(spec.num_rows));
 }
 BENCHMARK(BM_PredicateKernelChunk);
-
-void BM_PredicateScalarChunk(benchmark::State& state) {
-  SyntheticSpec spec;
-  spec.name = "t";
-  spec.num_rows = 4096;
-  spec.num_groups = 500;
-  spec.cluster_by_a = false;
-  Database db;
-  IMP_CHECK(CreateSyntheticTable(&db, spec).ok());
-  auto snap = db.GetTable("t")->Snapshot();
-  ExprPtr pred = RangeSetPredicate();
-  for (auto _ : state) {
-    for (const auto& chunk : snap->chunks()) {
-      BitVector sel(chunk->num_rows());
-      for (size_t r = 0; r < chunk->num_rows(); ++r) {
-        if (pred->Eval(chunk->GetRow(r)).IsTrue()) sel.Set(r);
-      }
-      benchmark::DoNotOptimize(sel);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(spec.num_rows));
-}
-BENCHMARK(BM_PredicateScalarChunk);
 
 // ---- Incremental aggregation: O(n) per delta row --------------------------------
 
@@ -795,9 +543,7 @@ BENCHMARK(BM_BitVectorUnion)->Arg(64)->Arg(1024)->Arg(65536);
 #endif  // IMP_HAVE_GOOGLE_BENCHMARK
 
 int main(int argc, char** argv) {
-  int rc = imp::RunPr7Smoke();
-  if (rc != 0) return rc;
-  rc = imp::RunPr10Smoke();
+  int rc = imp::RunKernelSmoke();
   if (rc != 0) return rc;
 
   bool smoke_only = false;

@@ -21,6 +21,14 @@ struct ColumnDef {
   }
 };
 
+/// True when a value of type `got` may be stored in a column of type
+/// `want`: the same type, NULL, or an INT that widens into a DOUBLE. The
+/// one typing rule of the write boundary (ConformRows) and the binder.
+inline bool FitsColumnType(ValueType got, ValueType want) {
+  return got == want || got == ValueType::kNull ||
+         (got == ValueType::kInt && want == ValueType::kDouble);
+}
+
 /// Ordered column list. Column resolution supports both bare names ("a")
 /// and qualified names ("r.a"); the binder stores qualified names when two
 /// inputs would otherwise clash.

@@ -47,21 +47,19 @@ Result<AnnotatedRelation> AnnotatedExecutor::ExecScan(const ScanNode& node) cons
   out.schema = node.output_schema();
   auto filter = node.filter();
   PredicateKernel kernel;
-  if (filter && vectorized_) kernel = PredicateKernel::Compile(filter);
+  if (filter) kernel = PredicateKernel::Compile(filter);
   auto bound = bindings_.find(node.table());
   if (bound != bindings_.end()) {
     const std::vector<AnnotatedRow>& rows = bound->second->rows;
-    if (filter && vectorized_) {
-      BitVector sel;
-      kernel.Eval(RowBlock::FromMember(rows, &AnnotatedRow::row), &sel,
-                  &scan_stats_.vectorized_batches,
-                  &scan_stats_.scalar_fallback_rows);
-      sel.ForEachSetBit([&](size_t i) { out.rows.push_back(rows[i]); });
+    if (!filter) {
+      out.rows = rows;
       return out;
     }
-    for (const AnnotatedRow& r : rows) {
-      if (!filter || filter->Eval(r.row).IsTrue()) out.rows.push_back(r);
-    }
+    BitVector sel;
+    kernel.Eval(RowBlock::FromMember(rows, &AnnotatedRow::row), &sel,
+                &scan_stats_.vectorized_batches,
+                &scan_stats_.scalar_fallback_rows);
+    sel.ForEachSetBit([&](size_t i) { out.rows.push_back(rows[i]); });
     return out;
   }
   // Lock-free snapshot read (see Executor::ExecScan).
@@ -109,27 +107,20 @@ Result<AnnotatedRelation> AnnotatedExecutor::ExecScan(const ScanNode& node) cons
     }
     ++scan_stats_.chunks_scanned;
     scan_stats_.rows_scanned += chunk->num_rows();
-    if (filter && vectorized_) {
-      // Kernel path: filter the whole chunk column-at-a-time, gather the
-      // survivors column-at-a-time, then annotate them in row order.
+    std::vector<Tuple> gathered;
+    if (filter) {
+      // Filter the whole chunk column-at-a-time and gather the survivors
+      // column-at-a-time.
       BitVector sel;
       kernel.Eval(RowBlock::FromChunk(*chunk), &sel,
                   &scan_stats_.vectorized_batches,
                   &scan_stats_.scalar_fallback_rows);
-      std::vector<Tuple> gathered = chunk->GatherRows(sel);
-      for (Tuple& row : gathered) {
-        AnnotatedRow ar;
-        ar.row = std::move(row);
-        if (annotator_) annotator_(node.table(), ar.row, &ar.sketch);
-        out.rows.push_back(std::move(ar));
-      }
-      continue;
+      gathered = chunk->GatherRows(sel);
     }
-    for (size_t r = 0; r < chunk->num_rows(); ++r) {
-      Tuple row = chunk->GetRow(r);
-      if (filter && !filter->Eval(row).IsTrue()) continue;
+    const size_t n = filter ? gathered.size() : chunk->num_rows();
+    for (size_t r = 0; r < n; ++r) {
       AnnotatedRow ar;
-      ar.row = std::move(row);
+      ar.row = filter ? std::move(gathered[r]) : chunk->GetRow(r);
       if (annotator_) annotator_(node.table(), ar.row, &ar.sketch);
       out.rows.push_back(std::move(ar));
     }
@@ -142,19 +133,13 @@ Result<AnnotatedRelation> AnnotatedExecutor::ExecSelect(
   IMP_ASSIGN_OR_RETURN(AnnotatedRelation in, Execute(node.child()));
   AnnotatedRelation out;
   out.schema = node.output_schema();
-  if (vectorized_) {
-    PredicateKernel kernel = PredicateKernel::Compile(node.predicate());
-    BitVector sel;
-    kernel.Eval(RowBlock::FromMember(in.rows, &AnnotatedRow::row), &sel,
-                &scan_stats_.vectorized_batches,
-                &scan_stats_.scalar_fallback_rows);
-    sel.ForEachSetBit(
-        [&](size_t i) { out.rows.push_back(std::move(in.rows[i])); });
-    return out;
-  }
-  for (AnnotatedRow& r : in.rows) {
-    if (node.predicate()->Eval(r.row).IsTrue()) out.rows.push_back(std::move(r));
-  }
+  PredicateKernel kernel = PredicateKernel::Compile(node.predicate());
+  BitVector sel;
+  kernel.Eval(RowBlock::FromMember(in.rows, &AnnotatedRow::row), &sel,
+              &scan_stats_.vectorized_batches,
+              &scan_stats_.scalar_fallback_rows);
+  sel.ForEachSetBit(
+      [&](size_t i) { out.rows.push_back(std::move(in.rows[i])); });
   return out;
 }
 

@@ -74,10 +74,6 @@ class AnnotatedExecutor {
   /// Executor::scan_stats().
   const ScanStats& scan_stats() const { return scan_stats_; }
 
-  /// Toggle the batch kernel path (on by default; see Executor).
-  void set_vectorized(bool v) { vectorized_ = v; }
-  bool vectorized() const { return vectorized_; }
-
   /// Range-index policy for exact single-column range filters (see
   /// Executor::set_range_index_mode). Maintenance callers (delegated join
   /// sides, recapture) set kBuild — the build amortizes across rounds.
@@ -97,7 +93,6 @@ class AnnotatedExecutor {
   RowAnnotator annotator_;
   const ReadView* view_;  ///< pinned snapshots; nullptr = latest published
   std::map<std::string, const AnnotatedRelation*> bindings_;
-  bool vectorized_ = true;
   RangeIndexMode range_index_mode_ = RangeIndexMode::kIfAvailable;
   mutable ScanStats scan_stats_;
 };

@@ -113,21 +113,19 @@ Result<Relation> Executor::ExecScan(const ScanNode& node) const {
   out.schema = node.output_schema();
   auto filter = node.filter();
   PredicateKernel kernel;
-  if (filter && vectorized_) kernel = PredicateKernel::Compile(filter);
+  if (filter) kernel = PredicateKernel::Compile(filter);
   auto bound = bindings_.find(node.table());
   if (bound != bindings_.end()) {
     const std::vector<Tuple>& rows = bound->second->rows;
-    if (filter && vectorized_) {
-      BitVector sel;
-      kernel.Eval(RowBlock::FromTuples(rows.data(), rows.size()), &sel,
-                  &scan_stats_.vectorized_batches,
-                  &scan_stats_.scalar_fallback_rows);
-      sel.ForEachSetBit([&](size_t i) { out.rows.push_back(rows[i]); });
+    if (!filter) {
+      out.rows = rows;
       return out;
     }
-    for (const Tuple& row : rows) {
-      if (!filter || filter->Eval(row).IsTrue()) out.rows.push_back(row);
-    }
+    BitVector sel;
+    kernel.Eval(RowBlock::FromTuples(rows.data(), rows.size()), &sel,
+                &scan_stats_.vectorized_batches,
+                &scan_stats_.scalar_fallback_rows);
+    sel.ForEachSetBit([&](size_t i) { out.rows.push_back(rows[i]); });
     return out;
   }
   // Lock-free snapshot read: the caller's pinned view when present (one
@@ -174,24 +172,21 @@ Result<Relation> Executor::ExecScan(const ScanNode& node) const {
     }
     ++scan_stats_.chunks_scanned;
     scan_stats_.rows_scanned += chunk->num_rows();
-    if (filter && vectorized_) {
-      // Kernel path: evaluate the predicate column-at-a-time into a
-      // selection bitvector, then gather the surviving rows
-      // column-at-a-time (one encoding dispatch per column, not per cell).
-      BitVector sel;
-      kernel.Eval(RowBlock::FromChunk(*chunk), &sel,
-                  &scan_stats_.vectorized_batches,
-                  &scan_stats_.scalar_fallback_rows);
-      std::vector<Tuple> gathered = chunk->GatherRows(sel);
-      for (Tuple& row : gathered) out.rows.push_back(std::move(row));
+    if (!filter) {
+      for (size_t r = 0; r < chunk->num_rows(); ++r) {
+        out.rows.push_back(chunk->GetRow(r));
+      }
       continue;
     }
-    for (size_t r = 0; r < chunk->num_rows(); ++r) {
-      Tuple row = chunk->GetRow(r);
-      if (!filter || filter->Eval(row).IsTrue()) {
-        out.rows.push_back(std::move(row));
-      }
-    }
+    // Evaluate the predicate column-at-a-time into a selection bitvector,
+    // then gather the surviving rows column-at-a-time (one encoding
+    // dispatch per column, not per cell).
+    BitVector sel;
+    kernel.Eval(RowBlock::FromChunk(*chunk), &sel,
+                &scan_stats_.vectorized_batches,
+                &scan_stats_.scalar_fallback_rows);
+    std::vector<Tuple> gathered = chunk->GatherRows(sel);
+    for (Tuple& row : gathered) out.rows.push_back(std::move(row));
   }
   return out;
 }
@@ -200,19 +195,13 @@ Result<Relation> Executor::ExecSelect(const SelectNode& node) const {
   IMP_ASSIGN_OR_RETURN(Relation in, Execute(node.child()));
   Relation out;
   out.schema = node.output_schema();
-  if (vectorized_) {
-    PredicateKernel kernel = PredicateKernel::Compile(node.predicate());
-    BitVector sel;
-    kernel.Eval(RowBlock::FromTuples(in.rows.data(), in.rows.size()), &sel,
-                &scan_stats_.vectorized_batches,
-                &scan_stats_.scalar_fallback_rows);
-    sel.ForEachSetBit(
-        [&](size_t i) { out.rows.push_back(std::move(in.rows[i])); });
-    return out;
-  }
-  for (Tuple& row : in.rows) {
-    if (node.predicate()->Eval(row).IsTrue()) out.rows.push_back(std::move(row));
-  }
+  PredicateKernel kernel = PredicateKernel::Compile(node.predicate());
+  BitVector sel;
+  kernel.Eval(RowBlock::FromTuples(in.rows.data(), in.rows.size()), &sel,
+              &scan_stats_.vectorized_batches,
+              &scan_stats_.scalar_fallback_rows);
+  sel.ForEachSetBit(
+      [&](size_t i) { out.rows.push_back(std::move(in.rows[i])); });
   return out;
 }
 

@@ -50,7 +50,7 @@ struct ScanStats {
 /// When a scan's filter reduces exactly to single-column value ranges
 /// (ExtractColumnRanges), should it be answered by the snapshot's ordered
 /// index instead of filtering chunks?
-///   kOff         — never (the scalar/kernel reference paths).
+///   kOff         — never (chunk filtering only).
 ///   kIfAvailable — only when the snapshot already has a range index on the
 ///                  column (warm or assembled); one-off queries never pay a
 ///                  build. Default.
@@ -86,12 +86,6 @@ class Executor {
   /// Counters accumulated across Execute calls.
   const ScanStats& scan_stats() const { return scan_stats_; }
 
-  /// Toggle the batch kernel path (on by default). Scalar mode is the
-  /// bit-identical reference the equivalence tests and benches compare
-  /// against; results never differ.
-  void set_vectorized(bool v) { vectorized_ = v; }
-  bool vectorized() const { return vectorized_; }
-
   /// Range-index policy for scans whose filter is exactly single-column
   /// ranges (results never differ from the filtering paths).
   void set_range_index_mode(RangeIndexMode m) { range_index_mode_ = m; }
@@ -109,7 +103,6 @@ class Executor {
   const Database* db_;
   const ReadView* view_;  ///< pinned snapshots; nullptr = latest published
   std::map<std::string, const Relation*> bindings_;
-  bool vectorized_ = true;
   RangeIndexMode range_index_mode_ = RangeIndexMode::kIfAvailable;
   mutable ScanStats scan_stats_;
 };

@@ -1,6 +1,7 @@
 #include "exec/vector_kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -113,8 +114,8 @@ NodePtr FoldAnd(std::vector<NodePtr> children) {
 }
 
 /// Extract a [lo, hi] range when `c` tests one column against constants:
-/// `col = lit` or `col BETWEEN lo AND hi`. Empty (lo > hi) ranges were
-/// already folded to constants by the compiler.
+/// `col = lit` or `col BETWEEN lo AND hi`. An inverted (lo > hi) range
+/// never merges with a neighbour in FoldOr and matches only NaN.
 bool AsRange(const KernelNode& c, size_t* col, KernelNode::Range* out) {
   if (c.kind == KernelNode::Kind::kCmp && c.op == BinaryOp::kEq) {
     *col = c.col;
@@ -207,9 +208,17 @@ NodePtr FoldOr(std::vector<NodePtr> children) {
   return n;
 }
 
+/// A NaN literal compares equal to every number under Value::Compare, which
+/// the kernels' range logic (fusion, ordering, BETWEEN x AND x == `= x`)
+/// cannot express; comparisons against one stay scalar.
+bool IsNaNLiteral(const Expr& e) {
+  const Value& v = static_cast<const LiteralExpr&>(e).value();
+  return v.is_double() && std::isnan(v.AsDouble());
+}
+
 /// Compile one (sub)expression into a kernel node, or nullptr when the
 /// shape is unsupported (column-vs-column compares, arithmetic, truthy
-/// column tests, ...): those fall back to scalar Expr::Eval.
+/// column tests, NaN literals, ...): those fall back to scalar Expr::Eval.
 NodePtr CompileNode(const Expr& e) {
   switch (e.kind()) {
     case ExprKind::kLiteral:
@@ -233,10 +242,12 @@ NodePtr CompileNode(const Expr& e) {
       const Expr& l = *bin.left();
       const Expr& r = *bin.right();
       if (l.kind() == ExprKind::kColumnRef && r.kind() == ExprKind::kLiteral) {
+        if (IsNaNLiteral(r)) return nullptr;
         return MakeCmp(bin.op(), static_cast<const ColumnRefExpr&>(l).index(),
                        static_cast<const LiteralExpr&>(r).value());
       }
       if (l.kind() == ExprKind::kLiteral && r.kind() == ExprKind::kColumnRef) {
+        if (IsNaNLiteral(l)) return nullptr;
         return MakeCmp(MirrorCmp(bin.op()),
                        static_cast<const ColumnRefExpr&>(r).index(),
                        static_cast<const LiteralExpr&>(l).value());
@@ -264,13 +275,15 @@ NodePtr CompileNode(const Expr& e) {
       const auto& b = static_cast<const BetweenExpr&>(e);
       if (b.input()->kind() != ExprKind::kColumnRef ||
           b.lo()->kind() != ExprKind::kLiteral ||
-          b.hi()->kind() != ExprKind::kLiteral) {
+          b.hi()->kind() != ExprKind::kLiteral || IsNaNLiteral(*b.lo()) ||
+          IsNaNLiteral(*b.hi())) {
         return nullptr;
       }
       const Value& lo = static_cast<const LiteralExpr&>(*b.lo()).value();
       const Value& hi = static_cast<const LiteralExpr&>(*b.hi()).value();
+      // An inverted (lo > hi) range is kept, not folded to FALSE: a NaN
+      // cell compares equal to both bounds, so Expr::Eval admits it.
       if (lo.is_null() || hi.is_null()) return MakeConst(false);
-      if (lo.Compare(hi) > 0) return MakeConst(false);  // empty range
       auto n = std::make_unique<KernelNode>();
       n->kind = KernelNode::Kind::kBetween;
       n->col = static_cast<const ColumnRefExpr&>(*b.input()).index();
@@ -750,14 +763,6 @@ void EvalLeafDict(const KernelNode& node, size_t n, const ColumnVector& cv,
 void EvalLeafColumnar(const KernelNode& node, size_t n, const ColumnVector& cv,
                       BitVector* out) {
   switch (cv.encoding()) {
-    case ColumnVector::Encoding::kBoxed: {
-      const Value* col = cv.boxed().data();
-      EvalLeaf(node, n, [col](size_t i) -> const Value& { return col[i]; },
-               out);
-      return;
-    }
-    case ColumnVector::Encoding::kUntyped:
-      return;  // every cell is NULL: no comparison can hold
     case ColumnVector::Encoding::kInt64:
       EvalLeafNumeric(node, n, cv.ints(), cv, out);
       return;

@@ -46,7 +46,8 @@ ValueType BinaryResultType(BinaryOp op, const ExprPtr& l, const ExprPtr& r) {
           r->result_type() == ValueType::kDouble) {
         return ValueType::kDouble;
       }
-      if (op == BinaryOp::kAdd && l->result_type() == ValueType::kString) {
+      if (op == BinaryOp::kAdd && (l->result_type() == ValueType::kString ||
+                                   r->result_type() == ValueType::kString)) {
         return ValueType::kString;
       }
       return ValueType::kInt;

@@ -202,40 +202,13 @@ class DeltaBatch {
     while (const AnnotatedDeltaRow* row = cursor.Next()) fn(*row);
   }
 
-  /// Restrict the batch to visible rows satisfying `pred`. Borrowed stays
-  /// borrowed — only the selection bitmap is refined — so filter chains
-  /// (scan filter, selection operators, bloom pruning) never copy rows.
-  /// Owned batches are filtered in place (kept rows are moved, order
-  /// preserved).
-  template <typename Pred>
-  DeltaBatch Filter(Pred&& pred) && {
-    if (borrowed()) {
-      const std::vector<AnnotatedDeltaRow>& rows = base_->rows;
-      BitVector refined(rows.size());
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (has_selection_ && !selection_.Test(i)) continue;
-        if (!pred(rows[i])) continue;
-        refined.Set(i);
-      }
-      return BorrowedFiltered(base_, std::move(refined));
-    }
-    std::vector<AnnotatedDeltaRow>& rows = owned_.rows;
-    size_t kept = 0;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (!pred(rows[i])) continue;
-      if (kept != i) rows[kept] = std::move(rows[i]);
-      ++kept;
-    }
-    rows.resize(kept);
-    return std::move(*this);
-  }
-
   /// Restrict the batch to visible rows whose bit is set in `keep`, a
-  /// bitmap over the BASE rows (borrowed) / the stored rows (owned) — the
-  /// batch-kernel twin of Filter(pred): the kernels evaluate a predicate
-  /// over all base rows into one bitmap and this intersects it with the
-  /// current selection. Identical to Filter for pure predicates (a row is
-  /// kept iff visible AND pred). Borrowed stays borrowed; owned compacts
+  /// bitmap over the BASE rows (borrowed) / the stored rows (owned): the
+  /// kernels evaluate a predicate over all base rows into one bitmap and
+  /// this intersects it with the current selection (a row is kept iff
+  /// visible AND its bit is set). Borrowed stays borrowed — only the
+  /// selection bitmap is refined — so filter chains (scan filter,
+  /// selection operators, bloom pruning) never copy rows; owned compacts
   /// in place preserving order.
   DeltaBatch FilterWithMask(const BitVector& keep) && {
     if (borrowed()) {

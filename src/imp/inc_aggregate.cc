@@ -21,7 +21,6 @@ IncAggregate::IncAggregate(std::unique_ptr<IncOperator> child,
       output_schema_(std::move(output_schema)),
       options_(options),
       stats_(stats) {
-  if (!options_.kernelized) return;
   key_cols_valid_ = true;
   key_cols_.reserve(group_exprs_.size());
   for (const ExprPtr& g : group_exprs_) {
@@ -428,11 +427,9 @@ Result<bool> IncAggregate::TryBuildColumnar(const DeltaContext& ctx,
 }
 
 Result<AnnotatedRelation> IncAggregate::Build(const DeltaContext& ctx) {
-  if (options_.kernelized) {
-    AnnotatedRelation columnar;
-    IMP_ASSIGN_OR_RETURN(bool handled, TryBuildColumnar(ctx, &columnar));
-    if (handled) return columnar;
-  }
+  AnnotatedRelation columnar;
+  IMP_ASSIGN_OR_RETURN(bool handled, TryBuildColumnar(ctx, &columnar));
+  if (handled) return columnar;
   IMP_ASSIGN_OR_RETURN(AnnotatedRelation in, children_[0]->Build(ctx));
   groups_.clear();
   for (const AnnotatedRow& r : in.rows) {

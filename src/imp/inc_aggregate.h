@@ -32,11 +32,6 @@ class IncAggregate final : public IncOperator {
     /// Keep only the best `minmax_buffer` distinct values per min/max
     /// state; 0 keeps everything (always exact).
     size_t minmax_buffer = 0;
-    /// Pre-resolve ColumnRef group keys and aggregate arguments to column
-    /// indices so the per-row inner loop copies cells directly instead of
-    /// recursing through virtual Expr::Eval. Bit-identical either way
-    /// (ColumnRefExpr::Eval is exactly row[index]).
-    bool kernelized = false;
   };
 
   IncAggregate(std::unique_ptr<IncOperator> child,
@@ -88,14 +83,13 @@ class IncAggregate final : public IncOperator {
   /// (shared by the row loop and the columnar Build's reboxed escape hatch).
   Status ApplyAggValue(AggState* agg, const AggSpec& spec, const Value& v,
                        int64_t mult);
-  /// Columnar Build fast path (options_.kernelized): when the child is a
-  /// filterless vectorized scan and every group key / aggregate argument is
-  /// a plain column, aggregate straight off the chunk columns — unboxed
-  /// int64/double inner loops, raw-bounds fragment counting, no per-row
-  /// Tuple or sketch materialization. Group state, insertion order and
-  /// output are bit-identical to the row path by construction. Returns
-  /// false (with `result` untouched) when the plan shape or the source does
-  /// not qualify.
+  /// Columnar Build fast path: when the child is a filterless scan and
+  /// every group key / aggregate argument is a plain column, aggregate
+  /// straight off the chunk columns — unboxed int64/double inner loops,
+  /// raw-bounds fragment counting, no per-row Tuple or sketch
+  /// materialization. Group state, insertion order and output equal the
+  /// row path's by construction. Returns false (with `result` untouched)
+  /// when the plan shape or the source does not qualify.
   Result<bool> TryBuildColumnar(const DeltaContext& ctx,
                                 AnnotatedRelation* result);
   /// Shared Build tail: the no-GROUP-BY empty group plus output emission.
@@ -112,10 +106,11 @@ class IncAggregate final : public IncOperator {
   Options options_;
   MaintainStats* stats_;
   GroupMap groups_;
-  /// Kernelized access plan (empty unless options_.kernelized resolved it):
-  /// group-key column indices when every group expr is a plain ColumnRef,
-  /// and per-aggregate argument columns (-1 = general expr / no arg,
-  /// falls back to Expr::Eval).
+  /// Pre-resolved column access, so the per-row inner loop copies cells
+  /// instead of recursing through virtual Expr::Eval (ColumnRefExpr::Eval
+  /// is exactly row[index]): group-key column indices when every group
+  /// expr is a plain ColumnRef, and per-aggregate argument columns (-1 =
+  /// general expr / no arg, falls back to Expr::Eval).
   bool key_cols_valid_ = false;
   std::vector<size_t> key_cols_;
   std::vector<int> agg_cols_;

@@ -68,7 +68,6 @@ Result<AnnotatedRelation> IncJoin::EvalSide(const PlanPtr& side_plan,
         catalog_->AnnotateRow(table, row, out);
       },
       view);
-  exec.set_vectorized(options_.vectorized);
   // Side evaluations repeat every round over the same tables — let exact
   // range filters build the ordered index once and skip chunks thereafter.
   exec.set_range_index_mode(RangeIndexMode::kBuild);
@@ -153,35 +152,25 @@ Result<AnnotatedRelation> IncJoin::Build(const DeltaContext& ctx) {
 
 DeltaBatch IncJoin::PruneByBloom(DeltaBatch delta, const BloomFilter& filter,
                                  bool left_side) {
-  if (options_.vectorized && !delta.empty()) {
-    // Batched probe: fold each key column into the hash lane column-at-a-
-    // time (same seed/fold order as KeyHash, so bit-identical), then one
-    // MayContainHashes call yields the keep bitmap over the base rows.
-    const std::vector<AnnotatedDeltaRow>& rows =
-        delta.borrowed() ? delta.base()->rows : delta.owned().rows;
-    std::vector<uint64_t> hashes(rows.size(), kJoinKeySeed);
-    for (const auto& kp : keys_) {
-      const size_t col = left_side ? kp.first : kp.second;
-      HashColumnBatch(
-          rows.size(), [&](size_t i) { return rows[i].row[col].Hash(); },
-          &hashes);
-    }
-    BitVector keep;
-    filter.MayContainHashes(hashes.data(), hashes.size(), &keep);
-    ++stats_->vectorized_batches;
-    const size_t before = delta.size();
-    DeltaBatch out = std::move(delta).FilterWithMask(keep);
-    stats_->bloom_pruned_rows += before - out.size();
-    return out;
+  if (delta.empty()) return delta;
+  // Batched probe: fold each key column into the hash lane column-at-a-
+  // time (same seed/fold order as KeyHash), then one MayContainHashes call
+  // yields the keep bitmap over the base rows.
+  const std::vector<AnnotatedDeltaRow>& rows =
+      delta.borrowed() ? delta.base()->rows : delta.owned().rows;
+  std::vector<uint64_t> hashes(rows.size(), kJoinKeySeed);
+  for (const auto& kp : keys_) {
+    const size_t col = left_side ? kp.first : kp.second;
+    HashColumnBatch(
+        rows.size(), [&](size_t i) { return rows[i].row[col].Hash(); },
+        &hashes);
   }
-  size_t pruned = 0;
-  DeltaBatch out =
-      std::move(delta).Filter([&](const AnnotatedDeltaRow& r) {
-        bool keep = filter.MayContainHash(KeyHash(r.row, left_side));
-        if (!keep) ++pruned;
-        return keep;
-      });
-  stats_->bloom_pruned_rows += pruned;
+  BitVector keep;
+  filter.MayContainHashes(hashes.data(), hashes.size(), &keep);
+  ++stats_->vectorized_batches;
+  const size_t before = delta.size();
+  DeltaBatch out = std::move(delta).FilterWithMask(keep);
+  stats_->bloom_pruned_rows += before - out.size();
   return out;
 }
 

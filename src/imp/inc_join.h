@@ -28,10 +28,6 @@ class IncJoin final : public IncOperator {
  public:
   struct Options {
     bool use_bloom = true;  ///< enable the Sec. 7.2 bloom-filter pruning
-    /// Batched bloom probing: hash the delta's key columns column-at-a-time
-    /// (HashColumnBatch) and probe the filter with one MayContainHashes
-    /// call instead of a per-row MayContainHash. Bit-identical pruning.
-    bool vectorized = true;
     /// Answer delegated ΔR ⋈ S round trips through the snapshot's point
     /// index when the side plan allows it (stateless chain with the key
     /// column passed through). Off = always evaluate the side — the

@@ -31,23 +31,22 @@ Status IncOperator::LoadTree(SerdeReader* reader) {
 
 IncScan::IncScan(std::string table, ExprPtr filter, const Database* db,
                  const PartitionCatalog* catalog, Schema schema,
-                 MaintainStats* stats, bool vectorized)
+                 MaintainStats* stats)
     : IncOperator({}),
       table_(std::move(table)),
       filter_(std::move(filter)),
       db_(db),
       catalog_(catalog),
       schema_(std::move(schema)),
-      stats_(stats),
-      vectorized_(vectorized) {
-  if (vectorized_ && filter_) kernel_ = PredicateKernel::Compile(filter_);
+      stats_(stats) {
+  if (filter_) kernel_ = PredicateKernel::Compile(filter_);
 }
 
 bool IncScan::ColumnarSource(const DeltaContext& ctx,
                              std::shared_ptr<const TableSnapshot>* pinned,
                              const TableSnapshot** snap,
                              TableAnnotator* annot) const {
-  if (filter_ != nullptr || !vectorized_) return false;
+  if (filter_ != nullptr) return false;
   const TableSnapshot* s = ctx.view ? ctx.view->Find(table_) : nullptr;
   if (s == nullptr) {
     const Table* table = db_->GetTable(table_);
@@ -76,78 +75,67 @@ Result<AnnotatedRelation> IncScan::Build(const DeltaContext& ctx) {
   // Resolve the table's partition once; per-row annotation then touches
   // only the partition column (bit-identical to catalog_->AnnotateRow).
   const TableAnnotator annot = catalog_->ResolveAnnotator(table_);
-  if (vectorized_) {
-    // When every partition boundary is an integer, fragment lookup over a
-    // typed chunk's unboxed int64 column is a raw upper_bound — no Value
-    // touched per row. NULL sorts below every integer in Value::Compare's
-    // type-tag order, so a NULL cell clamps into fragment 0 exactly as
-    // FragmentOf does.
-    std::vector<int64_t> int_bounds;
-    if (annot.active()) {
-      for (const Value& b : annot.partition()->bounds()) {
-        if (!b.is_int()) {
-          int_bounds.clear();
-          break;
-        }
-        int_bounds.push_back(b.AsInt());
+  // When every partition boundary is an integer, fragment lookup over a
+  // typed chunk's unboxed int64 column is a raw upper_bound — no Value
+  // touched per row. NULL sorts below every integer in Value::Compare's
+  // type-tag order, so a NULL cell clamps into fragment 0 exactly as
+  // FragmentOf does.
+  std::vector<int64_t> int_bounds;
+  if (annot.active()) {
+    for (const Value& b : annot.partition()->bounds()) {
+      if (!b.is_int()) {
+        int_bounds.clear();
+        break;
       }
+      int_bounds.push_back(b.AsInt());
     }
-    // Chunk-at-a-time capture: zone-map pruning in front of the compiled
-    // kernel, a column-at-a-time gather of the survivors, then annotation
-    // in row order (bit-identical to a GetRow-per-set-bit loop). No
-    // table-sized reserve: a selective filter should not allocate a
-    // table-sized row vector, and AnnotatedRow moves are pointer swaps.
-    for (const auto& chunk : snap->chunks()) {
-      if (filter_ && !ChunkMayMatch(*filter_, *chunk)) continue;
-      BitVector sel;
-      kernel_.Eval(RowBlock::FromChunk(*chunk), &sel,
-                   stats_ ? &stats_->vectorized_batches : nullptr,
-                   stats_ ? &stats_->scalar_fallback_rows : nullptr);
-      std::vector<Tuple> gathered = chunk->GatherRows(sel);
-      const ColumnVector* pcol = nullptr;
-      if (!int_bounds.empty()) {
-        const ColumnVector& cand = chunk->column(annot.attr_index());
-        if (cand.encoding() == ColumnVector::Encoding::kInt64) pcol = &cand;
-      }
-      if (pcol != nullptr) {
-        const int64_t* pv = pcol->ints();
-        const size_t num_fragments = int_bounds.size() - 1;
-        size_t gi = 0;
-        sel.ForEachSetBit([&](size_t i) {
-          AnnotatedRow ar;
-          ar.row = std::move(gathered[gi++]);
-          size_t frag = 0;
-          if (!pcol->IsNull(i)) {
-            auto it = std::upper_bound(int_bounds.begin(), int_bounds.end(),
-                                       pv[i]);
-            if (it != int_bounds.begin()) {
-              frag = static_cast<size_t>(it - int_bounds.begin()) - 1;
-              if (frag >= num_fragments) frag = num_fragments - 1;
-            }
-          }
-          ar.sketch.Resize(annot.total_fragments());
-          ar.sketch.Set(annot.offset() + frag);
-          out.rows.push_back(std::move(ar));
-        });
-        continue;
-      }
-      for (Tuple& row : gathered) {
-        AnnotatedRow ar;
-        ar.row = std::move(row);
-        annot.AnnotateRow(ar.row, &ar.sketch);
-        out.rows.push_back(std::move(ar));
-      }
-    }
-    return out;
   }
-  out.rows.reserve(snap->num_rows());
-  snap->ForEachRow([&](const Tuple& row) {
-    if (filter_ && !filter_->Eval(row).IsTrue()) return;
-    AnnotatedRow ar;
-    ar.row = row;
-    annot.AnnotateRow(row, &ar.sketch);
-    out.rows.push_back(std::move(ar));
-  });
+  // Chunk-at-a-time capture: zone-map pruning in front of the compiled
+  // kernel, a column-at-a-time gather of the survivors, then annotation
+  // in row order (bit-identical to a GetRow-per-set-bit loop). No
+  // table-sized reserve: a selective filter should not allocate a
+  // table-sized row vector, and AnnotatedRow moves are pointer swaps.
+  for (const auto& chunk : snap->chunks()) {
+    if (filter_ && !ChunkMayMatch(*filter_, *chunk)) continue;
+    BitVector sel;
+    kernel_.Eval(RowBlock::FromChunk(*chunk), &sel,
+                 stats_ ? &stats_->vectorized_batches : nullptr,
+                 stats_ ? &stats_->scalar_fallback_rows : nullptr);
+    std::vector<Tuple> gathered = chunk->GatherRows(sel);
+    const ColumnVector* pcol = nullptr;
+    if (!int_bounds.empty()) {
+      const ColumnVector& cand = chunk->column(annot.attr_index());
+      if (cand.encoding() == ColumnVector::Encoding::kInt64) pcol = &cand;
+    }
+    if (pcol != nullptr) {
+      const int64_t* pv = pcol->ints();
+      const size_t num_fragments = int_bounds.size() - 1;
+      size_t gi = 0;
+      sel.ForEachSetBit([&](size_t i) {
+        AnnotatedRow ar;
+        ar.row = std::move(gathered[gi++]);
+        size_t frag = 0;
+        if (!pcol->IsNull(i)) {
+          auto it = std::upper_bound(int_bounds.begin(), int_bounds.end(),
+                                     pv[i]);
+          if (it != int_bounds.begin()) {
+            frag = static_cast<size_t>(it - int_bounds.begin()) - 1;
+            if (frag >= num_fragments) frag = num_fragments - 1;
+          }
+        }
+        ar.sketch.Resize(annot.total_fragments());
+        ar.sketch.Set(annot.offset() + frag);
+        out.rows.push_back(std::move(ar));
+      });
+      continue;
+    }
+    for (Tuple& row : gathered) {
+      AnnotatedRow ar;
+      ar.row = std::move(row);
+      annot.AnnotateRow(ar.row, &ar.sketch);
+      out.rows.push_back(std::move(ar));
+    }
+  }
   return out;
 }
 
@@ -161,24 +149,19 @@ Result<DeltaBatch> IncScan::Process(const DeltaContext& ctx) {
   ++stats_->deltas_borrowed;
   DeltaBatch out = in->View();
   if (!filter_) return out;
-  if (vectorized_) {
-    // View() always yields a borrowed batch, so evaluate the kernel over
-    // the base rows in one pass and intersect with the current selection.
-    BitVector keep;
-    kernel_.Eval(RowBlock::FromMember(out.base()->rows, &AnnotatedDeltaRow::row),
-                 &keep, stats_ ? &stats_->vectorized_batches : nullptr,
-                 stats_ ? &stats_->scalar_fallback_rows : nullptr);
-    return std::move(out).FilterWithMask(keep);
-  }
-  return std::move(out).Filter([&](const AnnotatedDeltaRow& r) {
-    return filter_->Eval(r.row).IsTrue();
-  });
+  // View() always yields a borrowed batch, so evaluate the kernel over the
+  // base rows in one pass and intersect with the current selection.
+  BitVector keep;
+  kernel_.Eval(RowBlock::FromMember(out.base()->rows, &AnnotatedDeltaRow::row),
+               &keep, stats_ ? &stats_->vectorized_batches : nullptr,
+               stats_ ? &stats_->scalar_fallback_rows : nullptr);
+  return std::move(out).FilterWithMask(keep);
 }
 
 // ---- IncSelect --------------------------------------------------------------
 
 IncSelect::IncSelect(std::unique_ptr<IncOperator> child, ExprPtr predicate,
-                     MaintainStats* stats, bool vectorized)
+                     MaintainStats* stats)
     : IncOperator([&] {
         std::vector<std::unique_ptr<IncOperator>> c;
         c.push_back(std::move(child));
@@ -186,26 +169,18 @@ IncSelect::IncSelect(std::unique_ptr<IncOperator> child, ExprPtr predicate,
       }()),
       predicate_(std::move(predicate)),
       stats_(stats),
-      vectorized_(vectorized) {
-  if (vectorized_) kernel_ = PredicateKernel::Compile(predicate_);
-}
+      kernel_(PredicateKernel::Compile(predicate_)) {}
 
 Result<AnnotatedRelation> IncSelect::Build(const DeltaContext& ctx) {
   IMP_ASSIGN_OR_RETURN(AnnotatedRelation in, children_[0]->Build(ctx));
   AnnotatedRelation out;
   out.schema = in.schema;
-  if (vectorized_) {
-    BitVector sel;
-    kernel_.Eval(RowBlock::FromMember(in.rows, &AnnotatedRow::row), &sel,
-                 stats_ ? &stats_->vectorized_batches : nullptr,
-                 stats_ ? &stats_->scalar_fallback_rows : nullptr);
-    sel.ForEachSetBit(
-        [&](size_t i) { out.rows.push_back(std::move(in.rows[i])); });
-    return out;
-  }
-  for (AnnotatedRow& r : in.rows) {
-    if (predicate_->Eval(r.row).IsTrue()) out.rows.push_back(std::move(r));
-  }
+  BitVector sel;
+  kernel_.Eval(RowBlock::FromMember(in.rows, &AnnotatedRow::row), &sel,
+               stats_ ? &stats_->vectorized_batches : nullptr,
+               stats_ ? &stats_->scalar_fallback_rows : nullptr);
+  sel.ForEachSetBit(
+      [&](size_t i) { out.rows.push_back(std::move(in.rows[i])); });
   return out;
 }
 
@@ -213,25 +188,19 @@ Result<DeltaBatch> IncSelect::Process(const DeltaContext& ctx) {
   IMP_ASSIGN_OR_RETURN(DeltaBatch in, children_[0]->Process(ctx));
   // Borrowed input stays borrowed (bitmap refinement); owned input is
   // filtered in place. Either way: no row copies.
-  if (vectorized_) {
-    const std::vector<AnnotatedDeltaRow>& rows =
-        in.borrowed() ? in.base()->rows : in.owned().rows;
-    BitVector keep;
-    kernel_.Eval(RowBlock::FromMember(rows, &AnnotatedDeltaRow::row), &keep,
-                 stats_ ? &stats_->vectorized_batches : nullptr,
-                 stats_ ? &stats_->scalar_fallback_rows : nullptr);
-    return std::move(in).FilterWithMask(keep);
-  }
-  return std::move(in).Filter([&](const AnnotatedDeltaRow& r) {
-    return predicate_->Eval(r.row).IsTrue();
-  });
+  const std::vector<AnnotatedDeltaRow>& rows =
+      in.borrowed() ? in.base()->rows : in.owned().rows;
+  BitVector keep;
+  kernel_.Eval(RowBlock::FromMember(rows, &AnnotatedDeltaRow::row), &keep,
+               stats_ ? &stats_->vectorized_batches : nullptr,
+               stats_ ? &stats_->scalar_fallback_rows : nullptr);
+  return std::move(in).FilterWithMask(keep);
 }
 
 // ---- IncProject -------------------------------------------------------------
 
 IncProject::IncProject(std::unique_ptr<IncOperator> child,
-                       std::vector<ExprPtr> exprs, Schema output_schema,
-                       bool kernelized)
+                       std::vector<ExprPtr> exprs, Schema output_schema)
     : IncOperator([&] {
         std::vector<std::unique_ptr<IncOperator>> c;
         c.push_back(std::move(child));
@@ -239,7 +208,6 @@ IncProject::IncProject(std::unique_ptr<IncOperator> child,
       }()),
       exprs_(std::move(exprs)),
       output_schema_(std::move(output_schema)) {
-  if (!kernelized) return;
   proj_cols_valid_ = true;
   proj_cols_.reserve(exprs_.size());
   for (const ExprPtr& e : exprs_) {

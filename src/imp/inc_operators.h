@@ -27,9 +27,9 @@ class IncOperator {
  public:
   virtual ~IncOperator() = default;
 
-  /// Columnar hand-off hook: the scan leaf returns itself so a kernelized
-  /// parent (e.g. IncAggregate) can read typed chunk columns directly
-  /// instead of consuming materialized rows. Everything else: nullptr.
+  /// Columnar hand-off hook: the scan leaf returns itself so a parent
+  /// (e.g. IncAggregate) can read typed chunk columns directly instead of
+  /// consuming materialized rows. Everything else: nullptr.
   virtual const IncScan* AsIncScan() const { return nullptr; }
 
   /// Initialize state from the operator's current (annotated) input and
@@ -76,18 +76,18 @@ class IncScan final : public IncOperator {
  public:
   IncScan(std::string table, ExprPtr filter, const Database* db,
           const PartitionCatalog* catalog, Schema schema,
-          MaintainStats* stats, bool vectorized = true);
+          MaintainStats* stats);
 
   Result<AnnotatedRelation> Build(const DeltaContext&) override;
   Result<DeltaBatch> Process(const DeltaContext& ctx) override;
   const IncScan* AsIncScan() const override { return this; }
 
-  /// Columnar hand-off for a filterless vectorized scan: pin the round's
-  /// snapshot (`*pinned` keeps it alive when the context has no view) and
-  /// resolve the table's annotator, so a kernelized parent can aggregate
-  /// straight off the chunk columns. False when this scan has a filter,
-  /// is not vectorized, or the table does not exist — callers then fall
-  /// back to the row-at-a-time Build contract.
+  /// Columnar hand-off for a filterless scan: pin the round's snapshot
+  /// (`*pinned` keeps it alive when the context has no view) and resolve
+  /// the table's annotator, so a parent can aggregate straight off the
+  /// chunk columns. False when this scan has a filter or the table does
+  /// not exist — callers then fall back to the row-at-a-time Build
+  /// contract.
   bool ColumnarSource(const DeltaContext& ctx,
                       std::shared_ptr<const TableSnapshot>* pinned,
                       const TableSnapshot** snap,
@@ -100,15 +100,14 @@ class IncScan final : public IncOperator {
   const PartitionCatalog* catalog_;
   Schema schema_;
   MaintainStats* stats_;
-  bool vectorized_;
-  PredicateKernel kernel_;  ///< compiled once from filter_ (when vectorized)
+  PredicateKernel kernel_;  ///< compiled once from filter_
 };
 
 /// Incremental selection (Sec. 5.2.3): stateless filter on delta tuples.
 class IncSelect final : public IncOperator {
  public:
   IncSelect(std::unique_ptr<IncOperator> child, ExprPtr predicate,
-            MaintainStats* stats = nullptr, bool vectorized = true);
+            MaintainStats* stats = nullptr);
 
   Result<AnnotatedRelation> Build(const DeltaContext& ctx) override;
   Result<DeltaBatch> Process(const DeltaContext& ctx) override;
@@ -116,19 +115,18 @@ class IncSelect final : public IncOperator {
  private:
   ExprPtr predicate_;
   MaintainStats* stats_;
-  bool vectorized_;
   PredicateKernel kernel_;  ///< compiled once from predicate_
 };
 
 /// Incremental projection (Sec. 5.2.2): stateless per-tuple mapping; the
-/// sketch is propagated unmodified. With `kernelized` set and every
-/// projection a plain ColumnRef (the dominant shape), rows are rebuilt by
-/// direct cell copies instead of virtual Expr::Eval per cell —
-/// bit-identical, since ColumnRefExpr::Eval is exactly row[index].
+/// sketch is propagated unmodified. When every projection is a plain
+/// ColumnRef (the dominant shape), rows are rebuilt by direct cell copies
+/// instead of virtual Expr::Eval per cell — ColumnRefExpr::Eval is exactly
+/// row[index].
 class IncProject final : public IncOperator {
  public:
   IncProject(std::unique_ptr<IncOperator> child, std::vector<ExprPtr> exprs,
-             Schema output_schema, bool kernelized = false);
+             Schema output_schema);
 
   Result<AnnotatedRelation> Build(const DeltaContext& ctx) override;
   Result<DeltaBatch> Process(const DeltaContext& ctx) override;

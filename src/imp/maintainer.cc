@@ -52,26 +52,22 @@ std::unique_ptr<IncOperator> Maintainer::BuildOperator(const PlanPtr& plan) {
     case PlanKind::kScan: {
       const auto& scan = static_cast<const ScanNode&>(*plan);
       return std::make_unique<IncScan>(scan.table(), scan.filter(), db_,
-                                       catalog_, scan.output_schema(), &stats_,
-                                       options_.vectorized_kernels);
+                                       catalog_, scan.output_schema(), &stats_);
     }
     case PlanKind::kSelect: {
       const auto& node = static_cast<const SelectNode&>(*plan);
       return std::make_unique<IncSelect>(BuildOperator(node.child()),
-                                         node.predicate(), &stats_,
-                                         options_.vectorized_kernels);
+                                         node.predicate(), &stats_);
     }
     case PlanKind::kProject: {
       const auto& node = static_cast<const ProjectNode&>(*plan);
       return std::make_unique<IncProject>(BuildOperator(node.child()),
-                                          node.exprs(), node.output_schema(),
-                                          options_.typed_columns);
+                                          node.exprs(), node.output_schema());
     }
     case PlanKind::kJoin: {
       const auto& node = static_cast<const JoinNode&>(*plan);
       IncJoin::Options jopts;
       jopts.use_bloom = options_.bloom_filters;
-      jopts.vectorized = options_.vectorized_kernels;
       jopts.use_index = options_.indexed_joins;
       return std::make_unique<IncJoin>(
           BuildOperator(node.left()), BuildOperator(node.right()),
@@ -82,7 +78,6 @@ std::unique_ptr<IncOperator> Maintainer::BuildOperator(const PlanPtr& plan) {
       const auto& node = static_cast<const AggregateNode&>(*plan);
       IncAggregate::Options aopts;
       aopts.minmax_buffer = options_.minmax_buffer;
-      aopts.kernelized = options_.typed_columns;
       return std::make_unique<IncAggregate>(
           BuildOperator(node.child()), node.group_exprs(), node.aggs(),
           node.output_schema(), aopts, &stats_);
@@ -105,11 +100,9 @@ std::unique_ptr<IncOperator> Maintainer::BuildOperator(const PlanPtr& plan) {
             MakeColumnRef(i, schema.column(i).name, schema.column(i).type));
         names.push_back(schema.column(i).name);
       }
-      IncAggregate::Options dopts;
-      dopts.kernelized = options_.typed_columns;
       return std::make_unique<IncAggregate>(
           BuildOperator(node.child()), std::move(group_exprs),
-          std::vector<AggSpec>{}, schema, dopts, &stats_);
+          std::vector<AggSpec>{}, schema, IncAggregate::Options{}, &stats_);
     }
   }
   IMP_CHECK_MSG(false, "unknown plan kind");

@@ -31,20 +31,11 @@ struct MaintainerOptions {
   bool selection_pushdown = true;  ///< Sec. 7.2 delta pre-filtering
   size_t minmax_buffer = 0;        ///< top-l buffer for min/max (0 = all)
   size_t topk_buffer = 0;          ///< top-l buffer for top-k (0 = all)
-  /// Batch-at-a-time predicate kernels + batched bloom probing in the
-  /// operator chain (exec/vector_kernels). Off = row-at-a-time Expr::Eval
-  /// everywhere; results are bit-identical either way.
-  bool vectorized_kernels = true;
   /// Delegated ΔR ⋈ S round trips answered via the backend snapshot's
   /// point index (storage/snapshot_index). Off = every round trip fully
   /// evaluates the side; results are bit-identical either way — the
   /// reference the index equivalence gates compare against.
   bool indexed_joins = true;
-  /// Operator fast paths over the typed columnar chunk layout: pre-resolved
-  /// column access in aggregation/projection instead of per-row virtual
-  /// Expr::Eval. Off = the boxed reference path; results are bit-identical
-  /// either way (the twin-system equivalence gates compare the two).
-  bool typed_columns = true;
 };
 
 /// Incremental maintenance procedure for one query's sketch.

@@ -28,13 +28,41 @@ std::function<bool(const Tuple&)> WherePredicate(const BoundUpdate& update) {
                       : [](const Tuple&) { return true; };
 }
 
+/// Partition attributes are NOT NULL: a range predicate cannot admit NULL
+/// without losing zone skipping, so a NULL partition value would drop out
+/// of every sketch-filtered answer. `col` indexes the attribute (SIZE_MAX:
+/// unpartitioned table).
+Status CheckPartitionNotNull(const std::vector<Tuple>& rows, size_t col) {
+  for (const Tuple& row : rows) {
+    if (col < row.size() && row[col].is_null()) {
+      return Status::InvalidArgument("partition attribute must not be NULL");
+    }
+  }
+  return Status::OK();
+}
+
+/// The same check over stored data: the chunks' null bitmaps answer it in
+/// O(chunks).
+Status CheckPartitionNotNull(const TableSnapshot& snap, size_t col) {
+  for (const auto& chunk : snap.chunks()) {
+    if (chunk->column(col).has_nulls()) {
+      return Status::InvalidArgument(
+          "partition attribute " + snap.table_name() + "." +
+          snap.schema().column(col).name + " holds NULL");
+    }
+  }
+  return Status::OK();
+}
+
 /// The modified rows of an UPDATE statement (UPDATE = DELETE matching rows
-/// + INSERT these), evaluated against the current table state. Shared by
-/// the synchronous apply path and the ingestion worker so the two can
-/// never diverge.
+/// + INSERT these), evaluated against the current table state and checked
+/// like an INSERT's rows (ConformRows, NOT NULL `partition_col`) before the
+/// caller stages the delete half, so a rejected UPDATE changes nothing.
+/// Shared by the synchronous apply path and the ingestion worker so the
+/// two can never diverge.
 Result<std::vector<Tuple>> ComputeUpdatedRows(
     const Database& db, const BoundUpdate& update,
-    const std::function<bool(const Tuple&)>& pred) {
+    const std::function<bool(const Tuple&)>& pred, size_t partition_col) {
   const Table* table = db.GetTable(update.table);
   if (table == nullptr) {
     return Status::NotFound("no such table: " + update.table);
@@ -48,6 +76,10 @@ Result<std::vector<Tuple>> ComputeUpdatedRows(
     }
     modified.push_back(std::move(next));
   });
+  std::vector<Tuple> widened;
+  IMP_RETURN_NOT_OK(ConformRows(table->schema(), modified, &widened));
+  if (!widened.empty()) modified = std::move(widened);
+  IMP_RETURN_NOT_OK(CheckPartitionNotNull(modified, partition_col));
   return modified;
 }
 
@@ -95,6 +127,10 @@ void ImpSystem::StopIngestWorker() {
 }
 
 Status ImpSystem::RegisterPartition(RangePartition partition) {
+  if (const Table* t = db_->GetTable(partition.table())) {
+    IMP_RETURN_NOT_OK(
+        CheckPartitionNotNull(*t->Snapshot(), partition.attr_index()));
+  }
   std::unique_lock<std::shared_mutex> frontend(frontend_mu_);
   // A new partition can make previously unsketchable templates sketchable.
   sketches_.ClearUnsketchable();
@@ -114,6 +150,7 @@ Status ImpSystem::PartitionTable(const std::string& table,
   // Read the histogram source from the pinned published snapshot — no
   // backend lock; a concurrent writer publishes past us without blocking.
   std::shared_ptr<const TableSnapshot> snap = t->Snapshot();
+  IMP_RETURN_NOT_OK(CheckPartitionNotNull(*snap, *idx));
   std::vector<Value> values = snap->ColumnValues(*idx);
   if (values.empty()) {
     return Status::InvalidArgument("cannot partition empty table " + table);
@@ -309,7 +346,6 @@ SystemHealth ImpSystem::Health() {
   // Refresh the snapshot-style stats fields from the same readings.
   {
     Database::IndexStatsSnapshot istats = db_->AggregateIndexStats();
-    Database::TypedColumnStats tstats = db_->AggregateTypedColumnStats();
     std::lock_guard<std::mutex> stats(stats_mu_);
     stats_.faults_injected = health.faults_injected;
     stats_.dead_letter_size = health.dead_letter_size;
@@ -318,8 +354,6 @@ SystemHealth ImpSystem::Health() {
     stats_.index_point_probes = istats.point_probes;
     stats_.index_range_probes = istats.range_probes;
     stats_.index_bytes = db_->IndexBytes();
-    stats_.typed_chunks = tstats.typed_chunks;
-    stats_.boxed_fallback_cells = tstats.boxed_fallback_cells;
   }
   return health;
 }
@@ -337,12 +371,15 @@ Status ImpSystem::RepartitionTable(const std::string& table,
   {
     const Table* t = db_->GetTable(table);
     if (t == nullptr) return Status::NotFound("no such table: " + table);
-    if (!t->schema().IndexOf(attribute).has_value()) {
+    auto idx = t->schema().IndexOf(attribute);
+    if (!idx.has_value()) {
       return Status::NotFound("no such column: " + table + "." + attribute);
     }
-    if (t->Snapshot()->num_rows() == 0) {
+    std::shared_ptr<const TableSnapshot> snap = t->Snapshot();
+    if (snap->num_rows() == 0) {
       return Status::InvalidArgument("cannot partition empty table " + table);
     }
+    IMP_RETURN_NOT_OK(CheckPartitionNotNull(*snap, *idx));
   }
   // Stop-the-world for the SKETCH STORE: every query path reads the
   // catalog, and the global fragment-id compaction below invalidates every
@@ -369,6 +406,8 @@ Status ImpSystem::RepartitionTable(const std::string& table,
     // Emptied between validation and the freeze: still no mutation done.
     return Status::InvalidArgument("cannot partition empty table " + table);
   }
+  // Likewise for a NULL written between validation and the freeze.
+  IMP_RETURN_NOT_OK(CheckPartitionNotNull(*t->Snapshot(), *idx));
   IMP_RETURN_NOT_OK(catalog_.Unregister(table));
   // From here on the fragment-id space HAS changed; every sketch must be
   // re-anchored against the current catalog before readers return, even
@@ -623,6 +662,12 @@ Result<Relation> ImpSystem::Query(const std::string& sql) {
   return QueryPlan(plan);
 }
 
+size_t ImpSystem::PartitionColumn(const std::string& table) {
+  std::shared_lock<std::shared_mutex> frontend(frontend_mu_);
+  const RangePartition* part = catalog_.Find(table);
+  return part == nullptr ? SIZE_MAX : part->attr_index();
+}
+
 Result<uint64_t> ImpSystem::ApplySyncBound(const BoundUpdate& update) {
   switch (update.kind) {
     case BoundUpdate::Kind::kInsert:
@@ -640,9 +685,11 @@ Result<uint64_t> ImpSystem::ApplySyncBound(const BoundUpdate& update) {
         return Status::NotFound("no such table: " + update.table);
       }
       auto pred = WherePredicate(update);
+      const size_t partition_col = PartitionColumn(update.table);
       auto session = db_->WriteSession(update.table);
-      IMP_ASSIGN_OR_RETURN(std::vector<Tuple> modified,
-                           ComputeUpdatedRows(*db_, update, pred));
+      IMP_ASSIGN_OR_RETURN(
+          std::vector<Tuple> modified,
+          ComputeUpdatedRows(*db_, update, pred, partition_col));
       uint64_t delete_version = db_->AllocateVersion();
       uint64_t insert_version = db_->AllocateVersion();
       Status deleted =
@@ -678,6 +725,14 @@ Result<uint64_t> ImpSystem::EnqueueUpdate(const BoundUpdate& update) {
   // section — a large row batch must not serialize other producers.
   IngestTask task;
   task.update = update;
+  // Type-check an INSERT's rows here, so a mistyped row fails this call
+  // instead of dead-lettering on the worker.
+  const Table* table = db_->GetTable(update.table);
+  if (update.kind == BoundUpdate::Kind::kInsert && table != nullptr) {
+    std::vector<Tuple> widened;
+    IMP_RETURN_NOT_OK(ConformRows(table->schema(), update.rows, &widened));
+    if (!widened.empty()) task.update.rows = std::move(widened);
+  }
   uint64_t ticket = 0;
   // Full-queue policy: kReject never waits, kBlock waits up to the
   // configured timeout (0 = indefinitely; Close() still wakes it).
@@ -723,6 +778,10 @@ Result<uint64_t> ImpSystem::EnqueueUpdate(const BoundUpdate& update) {
 }
 
 Result<uint64_t> ImpSystem::UpdateBound(const BoundUpdate& update) {
+  if (update.kind == BoundUpdate::Kind::kInsert) {
+    IMP_RETURN_NOT_OK(
+        CheckPartitionNotNull(update.rows, PartitionColumn(update.table)));
+  }
   if (config_.async_ingestion) return EnqueueUpdate(update);
   {
     std::lock_guard<std::mutex> lock(update_stats_mu_);
@@ -763,6 +822,10 @@ Status ImpSystem::StageIngestTask(const IngestTask& task,
       touched->end()) {
     touched->push_back(update.table);
   }
+  // Read before taking the stripe: the catalog lock ranks above stripes.
+  const size_t partition_col = update.kind == BoundUpdate::Kind::kUpdate
+                                   ? PartitionColumn(update.table)
+                                   : SIZE_MAX;
   auto session = db_->WriteSession(update.table);
   switch (update.kind) {
     case BoundUpdate::Kind::kInsert:
@@ -778,8 +841,9 @@ Status ImpSystem::StageIngestTask(const IngestTask& task,
       // Computed against the worker's current applied state (all earlier
       // tickets staged), under the stripe — identical to the synchronous
       // path's view of the table.
-      IMP_ASSIGN_OR_RETURN(std::vector<Tuple> modified,
-                           ComputeUpdatedRows(*db_, update, pred));
+      IMP_ASSIGN_OR_RETURN(
+          std::vector<Tuple> modified,
+          ComputeUpdatedRows(*db_, update, pred, partition_col));
       *staged_any = true;
       IMP_RETURN_NOT_OK(
           db_->StageDelete(update.table, pred, task.delete_version).status());
@@ -1447,9 +1511,6 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
     stats_.index_point_probes = istats.point_probes;
     stats_.index_range_probes = istats.range_probes;
     stats_.index_bytes = db_->IndexBytes();
-    Database::TypedColumnStats tstats = db_->AggregateTypedColumnStats();
-    stats_.typed_chunks = tstats.typed_chunks;
-    stats_.boxed_fallback_cells = tstats.boxed_fallback_cells;
     if (shared) {
       MaintenanceBatchStats bstats = batch.stats();
       stats_.delta_scans += bstats.delta_scans;

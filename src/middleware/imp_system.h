@@ -245,12 +245,6 @@ struct ImpSystemStats {
   size_t index_range_probes = 0;
   size_t index_fallback_scans = 0;
   size_t index_bytes = 0;
-  // Typed columnar layout roll-up (storage/column_vector): chunks carrying
-  // unboxed typed columns in the current snapshots, and cells sitting in
-  // columns that reboxed after a type conflict (the compatibility escape
-  // hatch — a healthy typed workload keeps this at zero).
-  size_t typed_chunks = 0;
-  size_t boxed_fallback_cells = 0;
   // Asynchronous ingestion counters. In async mode update_seconds measures
   // ENQUEUE latency (what the writer observes); the apply cost moves to
   // the worker and is reported separately.
@@ -361,7 +355,11 @@ class ImpSystem {
   /// applies under the caller and returns the published version.
   /// Asynchronous mode: enqueues and immediately returns the statement's
   /// pre-allocated version — the ticket; the statement is visible to
-  /// queries/maintenance once the stable watermark passes it.
+  /// queries/maintenance once the stable watermark passes it. A row that
+  /// does not fit the column types (ConformRows) or writes NULL into a
+  /// partition attribute fails with InvalidArgument and changes nothing —
+  /// in async mode before enqueueing, except an UPDATE's computed rows,
+  /// which the worker rejects as a dead letter.
   Result<uint64_t> Update(const std::string& sql);
   /// Apply a bound update.
   Result<uint64_t> UpdateBound(const BoundUpdate& update);
@@ -484,6 +482,10 @@ class ImpSystem {
   /// not been hit. Counts stats_.rounds_deferred. Always false under
   /// PolicyMode::kFixed and for explicit MaintainAll calls.
   bool ShouldDeferEagerRound();
+  /// Index of `table`'s partition attribute (NOT NULL), or SIZE_MAX when
+  /// the table is unpartitioned. Takes the shared front-end lock, so never
+  /// call it while holding a write stripe.
+  size_t PartitionColumn(const std::string& table);
   /// Apply the statement under the caller (synchronous mode).
   Result<uint64_t> ApplySyncBound(const BoundUpdate& update);
   /// Allocate version(s) + enqueue; returns the ticket (async mode).

@@ -15,6 +15,9 @@ ExprPtr SketchScanPredicate(const PartitionCatalog& catalog,
                                part->bounds().front().type());
 
   // Merge runs of adjacent fragments into single intervals (footnote 2).
+  // FragmentOf clamps values outside the bounds into the edge fragments, so
+  // a run holding the first fragment is unbounded below and a run holding
+  // the last one unbounded above (never both: that is the full sketch).
   std::vector<ExprPtr> disjuncts;
   size_t i = 0;
   while (i < local.size()) {
@@ -23,9 +26,15 @@ ExprPtr SketchScanPredicate(const PartitionCatalog& catalog,
     auto lo = part->FragmentBounds(local[i]);
     auto hi = part->FragmentBounds(local[j]);
     ExprPtr ge = MakeBinary(BinaryOp::kGe, attr, MakeLiteral(lo.lo));
-    ExprPtr ub = MakeBinary(hi.inclusive_hi ? BinaryOp::kLe : BinaryOp::kLt,
-                            attr, MakeLiteral(hi.hi));
-    disjuncts.push_back(MakeBinary(BinaryOp::kAnd, std::move(ge), std::move(ub)));
+    ExprPtr lt = MakeBinary(BinaryOp::kLt, attr, MakeLiteral(hi.hi));
+    if (local[i] == 0) {
+      disjuncts.push_back(std::move(lt));
+    } else if (hi.inclusive_hi) {
+      disjuncts.push_back(std::move(ge));
+    } else {
+      disjuncts.push_back(
+          MakeBinary(BinaryOp::kAnd, std::move(ge), std::move(lt)));
+    }
     i = j + 1;
   }
   return MakeDisjunction(std::move(disjuncts));

@@ -96,6 +96,9 @@ struct Scope {
   }
 };
 
+/// A number or NULL (arithmetic operands, SUM/AVG arguments).
+bool Numeric(ValueType t) { return FitsColumnType(t, ValueType::kDouble); }
+
 /// Bind a scalar (non-aggregate) expression over a scope.
 Result<ExprPtr> BindScalar(const ParsedExprPtr& e, const Scope& scope) {
   switch (e->kind) {
@@ -110,10 +113,42 @@ Result<ExprPtr> BindScalar(const ParsedExprPtr& e, const Scope& scope) {
     case ParsedExpr::Kind::kBinary: {
       IMP_ASSIGN_OR_RETURN(ExprPtr l, BindScalar(e->args[0], scope));
       IMP_ASSIGN_OR_RETURN(ExprPtr r, BindScalar(e->args[1], scope));
+      // Arithmetic takes numbers (`+` also concatenates two strings, `%`
+      // takes integers only); comparisons and connectives take anything.
+      const ValueType lt = l->result_type(), rt = r->result_type();
+      bool ok = true;
+      switch (e->bin_op) {
+        case BinaryOp::kAdd:
+          ok = (Numeric(lt) && Numeric(rt)) ||
+               (FitsColumnType(lt, ValueType::kString) &&
+                FitsColumnType(rt, ValueType::kString));
+          break;
+        case BinaryOp::kSub:
+        case BinaryOp::kMul:
+        case BinaryOp::kDiv:
+          ok = Numeric(lt) && Numeric(rt);
+          break;
+        case BinaryOp::kMod:
+          ok = FitsColumnType(lt, ValueType::kInt) &&
+               FitsColumnType(rt, ValueType::kInt);
+          break;
+        default:
+          break;
+      }
+      if (!ok) {
+        return Status::BindError(std::string("operator ") +
+                                 BinaryOpSymbol(e->bin_op) + " cannot take " +
+                                 ValueTypeName(lt) + " and " +
+                                 ValueTypeName(rt));
+      }
       return MakeBinary(e->bin_op, std::move(l), std::move(r));
     }
     case ParsedExpr::Kind::kUnary: {
       IMP_ASSIGN_OR_RETURN(ExprPtr c, BindScalar(e->args[0], scope));
+      if (e->un_op == UnaryOp::kNeg && !Numeric(c->result_type())) {
+        return Status::BindError(std::string("operator - cannot take ") +
+                                 ValueTypeName(c->result_type()));
+      }
       return MakeUnary(e->un_op, std::move(c));
     }
     case ParsedExpr::Kind::kBetween: {
@@ -453,6 +488,12 @@ class SelectBinder {
         }
       } else if (call->args.size() == 1) {
         IMP_ASSIGN_OR_RETURN(arg, BindScalar(call->args[0], scope));
+        if ((fn == AggFunc::kSum || fn == AggFunc::kAvg) &&
+            !Numeric(arg->result_type())) {
+          return Status::BindError(std::string(AggFuncName(fn)) +
+                                   " needs a numeric argument, got " +
+                                   ValueTypeName(arg->result_type()));
+        }
         arg_key = arg->ToString();
       } else if (call->args.empty() && fn == AggFunc::kCount) {
         // COUNT() treated as COUNT(*).
@@ -653,10 +694,12 @@ Result<BoundStatement> Binder::Bind(const Statement& stmt) const {
         for (size_t i = 0; i < parsed_row.size(); ++i) {
           IMP_ASSIGN_OR_RETURN(ExprPtr e, BindScalar(parsed_row[i], empty));
           Value v = e->Eval(Tuple{});
-          // Coerce int literals into double columns.
-          if (table->schema().column(i).type == ValueType::kDouble &&
-              v.is_int()) {
-            v = Value::Double(static_cast<double>(v.AsInt()));
+          // An INT fits a DOUBLE column: the write boundary widens it.
+          const ColumnDef& col = table->schema().column(i);
+          if (!FitsColumnType(v.type(), col.type)) {
+            return Status::BindError("INSERT value " + v.ToString() +
+                                     " does not fit column " + col.name +
+                                     " (" + ValueTypeName(col.type) + ")");
           }
           row.push_back(std::move(v));
         }
@@ -697,6 +740,13 @@ Result<BoundStatement> Binder::Bind(const Statement& stmt) const {
             return Status::BindError("unknown column in SET: " + col);
           }
           IMP_ASSIGN_OR_RETURN(ExprPtr e, BindScalar(parsed, scope));
+          const ColumnDef& def = table->schema().column(*idx);
+          if (!FitsColumnType(e->result_type(), def.type)) {
+            return Status::BindError(
+                "SET " + col + " = " + e->ToString() + " is " +
+                ValueTypeName(e->result_type()) + ", column is " +
+                ValueTypeName(def.type));
+          }
           out.update.sets.emplace_back(*idx, std::move(e));
         }
       }

@@ -6,6 +6,23 @@
 
 namespace imp {
 
+ColumnVector::ColumnVector(ValueType type) {
+  switch (type) {
+    case ValueType::kInt:
+      encoding_ = Encoding::kInt64;
+      break;
+    case ValueType::kDouble:
+      encoding_ = Encoding::kDouble;
+      break;
+    case ValueType::kString:
+      encoding_ = Encoding::kDictString;
+      dict_offsets_.assign(1, 0);
+      break;
+    default:
+      IMP_CHECK_MSG(false, "column vector needs a column type");
+  }
+}
+
 void ColumnVector::AppendNullSlot() {
   nulls_.Resize(size_ + 1);
   nulls_.Set(size_);
@@ -23,34 +40,18 @@ void ColumnVector::AppendNullSlot() {
     case Encoding::kFlatString:
       flat_offsets_.push_back(static_cast<uint32_t>(arena_.size()));
       break;
-    default:
-      break;  // kUntyped keeps bitmap only
   }
   ++size_;
 }
 
-void ColumnVector::BeginTyped(const Value& first) {
-  // All rows so far are NULL; backfill zeroed payload slots for them.
-  switch (first.type()) {
-    case ValueType::kInt:
-      encoding_ = Encoding::kInt64;
-      ints_.assign(size_, 0);
-      break;
-    case ValueType::kDouble:
-      encoding_ = Encoding::kDouble;
-      doubles_.assign(size_, 0.0);
-      break;
-    case ValueType::kString:
-      encoding_ = Encoding::kDictString;
-      codes_.assign(size_, 0);
-      dict_offsets_.assign(1, 0);
-      break;
-    default:
-      break;
+void ColumnVector::Append(const Value& v) {
+  if (v.is_null()) {
+    AppendNullSlot();
+    return;
   }
-}
-
-void ColumnVector::AppendTyped(const Value& v) {
+  IMP_DCHECK((encoding_ == Encoding::kInt64 && v.is_int()) ||
+             (encoding_ == Encoding::kDouble && v.is_double()) ||
+             (encoding_ >= Encoding::kDictString && v.is_string()));
   nulls_.Resize(size_ + 1);
   switch (encoding_) {
     case Encoding::kInt64: {
@@ -109,8 +110,6 @@ void ColumnVector::AppendTyped(const Value& v) {
       UpdateStringStats(s);
       break;
     }
-    default:
-      break;
   }
   ++size_;
 }
@@ -125,54 +124,15 @@ void ColumnVector::UpdateStringStats(const std::string& s) {
   }
 }
 
-void ColumnVector::Append(const Value& v) {
-  if (encoding_ == Encoding::kBoxed) {
-    if (!v.is_null()) {
-      if (!stats_valid_) {
-        vmin_ = vmax_ = v;
-        stats_valid_ = true;
-      } else {
-        if (v.Compare(vmin_) < 0) vmin_ = v;
-        if (vmax_.Compare(v) < 0) vmax_ = v;
-      }
-    }
-    boxed_.push_back(v);
-    ++size_;
-    return;
-  }
-  if (v.is_null()) {
-    AppendNullSlot();
-    return;
-  }
-  if (encoding_ == Encoding::kUntyped) BeginTyped(v);
-  bool matches = (encoding_ == Encoding::kInt64 && v.is_int()) ||
-                 (encoding_ == Encoding::kDouble && v.is_double()) ||
-                 ((encoding_ == Encoding::kDictString ||
-                   encoding_ == Encoding::kFlatString) &&
-                  v.is_string());
-  if (!matches) {
-    ConvertToBoxed();
-    Append(v);
-    return;
-  }
-  AppendTyped(v);
-}
-
 Value ColumnVector::GetValue(size_t i) const {
+  if (IsNull(i)) return Value::Null();
   switch (encoding_) {
-    case Encoding::kBoxed:
-      return boxed_[i];
-    case Encoding::kUntyped:
-      return Value::Null();
     case Encoding::kInt64:
-      if (has_nulls_ && nulls_.Test(i)) return Value::Null();
       return Value::Int(ints_[i]);
     case Encoding::kDouble:
-      if (has_nulls_ && nulls_.Test(i)) return Value::Null();
       return Value::Double(doubles_[i]);
     case Encoding::kDictString:
     case Encoding::kFlatString:
-      if (has_nulls_ && nulls_.Test(i)) return Value::Null();
       return Value::String(std::string(StringAt(i)));
   }
   return Value::Null();
@@ -181,10 +141,6 @@ Value ColumnVector::GetValue(size_t i) const {
 bool ColumnVector::MinMax(Value* min, Value* max) const {
   if (!stats_valid_) return false;
   switch (encoding_) {
-    case Encoding::kBoxed:
-      *min = vmin_;
-      *max = vmax_;
-      return true;
     case Encoding::kInt64:
       *min = Value::Int(imin_);
       *max = Value::Int(imax_);
@@ -198,33 +154,8 @@ bool ColumnVector::MinMax(Value* min, Value* max) const {
       *min = Value::String(smin_);
       *max = Value::String(smax_);
       return true;
-    default:
-      return false;  // kUntyped: all NULL
   }
-}
-
-void ColumnVector::ConvertToBoxed() {
-  std::vector<Value> boxed;
-  boxed.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) boxed.push_back(GetValue(i));
-  if (stats_valid_) MinMax(&vmin_, &vmax_);  // seed the boxed accumulators
-  boxed_ = std::move(boxed);
-  encoding_ = Encoding::kBoxed;
-  nulls_ = BitVector();
-  has_nulls_ = false;
-  ints_.clear();
-  ints_.shrink_to_fit();
-  doubles_.clear();
-  doubles_.shrink_to_fit();
-  arena_.clear();
-  arena_.shrink_to_fit();
-  codes_.clear();
-  codes_.shrink_to_fit();
-  dict_offsets_.clear();
-  dict_offsets_.shrink_to_fit();
-  flat_offsets_.clear();
-  flat_offsets_.shrink_to_fit();
-  dict_lookup_.clear();
+  return false;
 }
 
 void ColumnVector::ConvertDictToFlat() {
@@ -250,11 +181,6 @@ void ColumnVector::ConvertDictToFlat() {
 void ColumnVector::Gather(const std::vector<uint32_t>& rows, size_t col,
                           std::vector<Tuple>* out) const {
   switch (encoding_) {
-    case Encoding::kBoxed:
-      for (size_t k = 0; k < rows.size(); ++k) (*out)[k][col] = boxed_[rows[k]];
-      break;
-    case Encoding::kUntyped:
-      break;  // slots are already NULL
     case Encoding::kInt64:
       for (size_t k = 0; k < rows.size(); ++k) {
         uint32_t r = rows[k];
@@ -284,15 +210,6 @@ void ColumnVector::AppendKeyHashes(size_t num_rows,
                                    std::vector<uint64_t>* inout) const {
   const BitVector* nulls = has_nulls_ ? &nulls_ : nullptr;
   switch (encoding_) {
-    case Encoding::kBoxed:
-      HashColumnBatch(
-          num_rows, [this](size_t i) { return boxed_[i].Hash(); }, inout);
-      return;
-    case Encoding::kUntyped:
-      for (size_t i = 0; i < num_rows; ++i) {
-        (*inout)[i] = HashCombine((*inout)[i], kNullValueHash);
-      }
-      return;
     case Encoding::kInt64:
       HashColumnBatch(num_rows, ints_.data(), nulls, inout);
       return;
@@ -330,17 +247,7 @@ void ColumnVector::AppendKeyHashes(size_t num_rows,
 }
 
 size_t ColumnVector::MemoryBytes() const {
-  size_t bytes = 0;
-  if (encoding_ == Encoding::kBoxed) {
-    bytes += boxed_.capacity() * sizeof(Value);
-    for (const Value& v : boxed_) {
-      if (v.is_string() && v.AsString().capacity() > sizeof(std::string)) {
-        bytes += v.AsString().capacity();
-      }
-    }
-    return bytes;
-  }
-  bytes += nulls_.MemoryBytes();
+  size_t bytes = nulls_.MemoryBytes();
   bytes += ints_.capacity() * sizeof(int64_t);
   bytes += doubles_.capacity() * sizeof(double);
   bytes += arena_.capacity() > sizeof(std::string) ? arena_.capacity() : 0;

@@ -1,23 +1,17 @@
-// Typed columnar storage for DataChunk (ROADMAP item 5, "the real SIMD
-// unlock"): one ColumnVector per column holding an unboxed payload —
-// int64/double arrays with a null bitmap, or dictionary/flat-encoded
-// strings over a shared byte arena — instead of a boxed
-// std::vector<Value> (a ~40-byte tagged variant per cell).
+// Typed columnar storage for DataChunk: one ColumnVector per column holding
+// an unboxed payload — int64/double arrays with a null bitmap, or
+// dictionary/flat-encoded strings over a shared byte arena.
 //
-// Encoding is adaptive and data-driven: a typed-mode column starts with no
-// payload (kUntyped) and commits to kInt64 / kDouble / kDictString on the
-// first non-NULL value appended. If a later value has a conflicting type
-// the column loses nothing: it reboxes every stored cell into the legacy
-// kBoxed layout (counted as `boxed_fallback_cells` in ImpSystemStats) and
-// keeps working. `GetValue()` reboxes exactly — a typed encoding only ever
-// holds one exact value type or NULL — so the typed and boxed layouts are
-// observationally bit-identical, which is what the twin-system equivalence
-// gates compare.
+// A column is committed to its schema type at construction (INT -> kInt64,
+// DOUBLE -> kDouble, STRING -> a string encoding); the write boundary
+// (ConformRows in storage/table.h) guarantees every appended cell is NULL
+// or of that type, so there is no fallback layout. `GetValue()` reboxes
+// exactly — an encoding only ever holds one value type or NULL.
 //
 // Strings are dictionary-coded first (per-row u32 codes into a distinct
 // set stored back-to-back in the arena) and convert once to a flat layout
 // (per-row offsets into the arena) when the distinct count outgrows the
-// dictionary. Both conversions only ever happen on the writer-private tail
+// dictionary. The conversion only ever happens on the writer-private tail
 // chunk — published chunks are immutable — so readers never observe an
 // encoding change.
 //
@@ -44,8 +38,6 @@ namespace imp {
 class ColumnVector {
  public:
   enum class Encoding : uint8_t {
-    kBoxed,       ///< std::vector<Value> — legacy layout / typed fallback
-    kUntyped,     ///< typed mode, only NULLs appended so far (no payload)
     kInt64,       ///< raw int64 array + null bitmap
     kDouble,      ///< raw double array + null bitmap
     kDictString,  ///< per-row u32 codes into a distinct-string arena
@@ -56,42 +48,27 @@ class ColumnVector {
   /// would exceed this (repeat-free columns pay codes + dict for nothing).
   static constexpr size_t kDictMaxDistinct = 256;
 
-  ColumnVector() = default;  ///< boxed (legacy) layout
-  explicit ColumnVector(bool typed)
-      : encoding_(typed ? Encoding::kUntyped : Encoding::kBoxed),
-        typed_mode_(typed) {}
+  /// An empty column committed to `type` (INT, DOUBLE or STRING).
+  explicit ColumnVector(ValueType type);
 
   size_t size() const { return size_; }
   Encoding encoding() const { return encoding_; }
-  bool typed_mode() const { return typed_mode_; }
-  /// Typed-mode column that hit a type conflict and reboxed every cell.
-  bool fell_back() const {
-    return typed_mode_ && encoding_ == Encoding::kBoxed;
-  }
 
+  /// Append a cell that is NULL or of the column's type (the write
+  /// boundary's contract; checked in debug builds).
   void Append(const Value& v);
 
-  /// Rebox cell `i` — the compatibility escape hatch. Exact: a typed
-  /// encoding stores one value type, so the round trip is lossless.
+  /// Rebox cell `i`. Exact: an encoding stores one value type, so the
+  /// round trip is lossless.
   Value GetValue(size_t i) const;
 
-  bool IsNull(size_t i) const {
-    switch (encoding_) {
-      case Encoding::kBoxed:
-        return boxed_[i].is_null();
-      case Encoding::kUntyped:
-        return true;
-      default:
-        return has_nulls_ && nulls_.Test(i);
-    }
-  }
+  bool IsNull(size_t i) const { return has_nulls_ && nulls_.Test(i); }
 
   // ---- Raw views (valid for the matching encoding only) -------------------
   bool has_nulls() const { return has_nulls_; }
   const BitVector& nulls() const { return nulls_; }
   const int64_t* ints() const { return ints_.data(); }
   const double* doubles() const { return doubles_.data(); }
-  const std::vector<Value>& boxed() const { return boxed_; }
   const uint32_t* codes() const { return codes_.data(); }
   size_t dict_size() const {
     return dict_offsets_.empty() ? 0 : dict_offsets_.size() - 1;
@@ -124,30 +101,20 @@ class ColumnVector {
   /// strings hash each distinct value once, NULLs fold kNullValueHash.
   void AppendKeyHashes(size_t num_rows, std::vector<uint64_t>* inout) const;
 
-  /// Heap bytes of the payload (boxed cells or typed arrays + null bitmap
-  /// + arena/offsets + writer-side dictionary map). Excludes sizeof(*this).
+  /// Heap bytes of the payload (typed arrays + null bitmap + arena/offsets
+  /// + writer-side dictionary map). Excludes sizeof(*this).
   size_t MemoryBytes() const;
 
  private:
-  /// Commit the kUntyped column to a typed encoding chosen from the first
-  /// non-NULL value; backfills payload slots for the NULL prefix.
-  void BeginTyped(const Value& first);
-  void AppendTyped(const Value& v);
-  /// Rebox every cell into the legacy layout (type-conflict fallback).
-  void ConvertToBoxed();
   void ConvertDictToFlat();
   void AppendNullSlot();
   void UpdateStringStats(const std::string& s);
 
-  Encoding encoding_ = Encoding::kBoxed;
-  bool typed_mode_ = false;
+  Encoding encoding_ = Encoding::kInt64;  ///< set from the type by the ctor
   size_t size_ = 0;
 
-  // kBoxed payload.
-  std::vector<Value> boxed_;
-
-  // Typed payloads. nulls_ spans [0, size_) for every typed encoding;
-  // payload slots at NULL rows hold 0 / 0.0 / an empty span.
+  // nulls_ spans [0, size_) for every encoding; payload slots at NULL rows
+  // hold 0 / 0.0 / an empty span.
   BitVector nulls_;
   bool has_nulls_ = false;
   std::vector<int64_t> ints_;
@@ -162,13 +129,11 @@ class ColumnVector {
   std::vector<uint32_t> flat_offsets_;
   std::unordered_map<std::string, uint32_t> dict_lookup_;  ///< writer-side
 
-  // Zone accumulators (valid iff stats_valid_). Typed encodings track the
-  // raw payload; kBoxed tracks Values via Compare — identical semantics.
+  // Zone accumulators over the raw payload (valid iff stats_valid_).
   bool stats_valid_ = false;
   int64_t imin_ = 0, imax_ = 0;
   double dmin_ = 0, dmax_ = 0;
   std::string smin_, smax_;
-  Value vmin_, vmax_;
 };
 
 }  // namespace imp

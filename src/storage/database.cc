@@ -11,8 +11,13 @@ Status Database::CreateTable(const std::string& name, Schema schema) {
   if (tables_.count(name) > 0) {
     return Status::InvalidArgument("table already exists: " + name);
   }
-  tables_[name] =
-      std::make_unique<Table>(name, std::move(schema), options_.typed_columns);
+  for (const ColumnDef& col : schema.columns()) {
+    if (col.type == ValueType::kNull) {
+      return Status::InvalidArgument("column " + name + "." + col.name +
+                                     " has no type");
+    }
+  }
+  tables_[name] = std::make_unique<Table>(name, std::move(schema));
   return Status::OK();
 }
 
@@ -80,8 +85,10 @@ Status Database::BulkLoad(const std::string& table,
                           const std::vector<Tuple>& rows) {
   Table* t = GetMutableTable(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
+  std::vector<Tuple> widened;
+  IMP_RETURN_NOT_OK(ConformRows(t->schema(), rows, &widened));
   auto session = WriteSession(table);
-  for (const Tuple& row : rows) t->AppendRow(row);
+  for (const Tuple& row : widened.empty() ? rows : widened) t->AppendRow(row);
   t->PublishSnapshot();
   return Status::OK();
 }
@@ -91,7 +98,9 @@ Status Database::StageInsert(const std::string& table,
                              uint64_t version) {
   Table* t = GetMutableTable(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
-  for (const Tuple& row : rows) {
+  std::vector<Tuple> widened;
+  IMP_RETURN_NOT_OK(ConformRows(t->schema(), rows, &widened));
+  for (const Tuple& row : widened.empty() ? rows : widened) {
     t->AppendRow(row);
     t->AppendDelta(DeltaRecord{row, /*mult=*/1, version});
   }
@@ -225,18 +234,6 @@ Database::IndexStatsSnapshot Database::AggregateIndexStats() const {
     out.shards_reused += s.shards_reused.load(std::memory_order_relaxed);
     out.point_probes += s.point_probes.load(std::memory_order_relaxed);
     out.range_probes += s.range_probes.load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-Database::TypedColumnStats Database::AggregateTypedColumnStats() const {
-  TypedColumnStats out;
-  for (const auto& [_, table] : tables_) {
-    std::shared_ptr<const TableSnapshot> snap = table->Snapshot();
-    for (const auto& chunk : snap->chunks()) {
-      if (chunk->typed()) ++out.typed_chunks;
-      out.boxed_fallback_cells += chunk->BoxedFallbackCells();
-    }
   }
   return out;
 }

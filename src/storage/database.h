@@ -63,21 +63,10 @@ struct TableDelta {
   size_t size() const { return records.size(); }
 };
 
-/// Construction-time storage knobs, fixed for the Database's lifetime.
-struct DatabaseOptions {
-  /// Store chunk columns as unboxed typed vectors (int64/double payloads,
-  /// dictionary-or-flat strings) instead of boxed Value vectors. Results
-  /// are bit-identical either way; the toggle exists so twin-system tests
-  /// and benches can gate equivalence and measure the layout win.
-  bool typed_columns = true;
-};
-
 class Database {
  public:
-  Database() = default;
-  explicit Database(DatabaseOptions options) : options_(options) {}
-
-  /// Create an empty table; fails if the name exists. Setup-time only (not
+  /// Create an empty table; fails if the name exists or a column has no
+  /// type (each column's type is its storage type). Setup-time only (not
   /// safe against concurrent readers of the catalog).
   Status CreateTable(const std::string& name, Schema schema);
   // Catalog lookups take string_views (the table map's transparent
@@ -90,7 +79,8 @@ class Database {
 
   /// Bulk load without delta logging or version bump (initial load; the
   /// paper's experiments capture sketches only after loading). Publishes
-  /// the loaded rows as the table's next snapshot.
+  /// the loaded rows as the table's next snapshot. Rows pass ConformRows
+  /// first; a mistyped row fails the whole load with nothing appended.
   Status BulkLoad(const std::string& table, const std::vector<Tuple>& rows);
 
   /// Insert rows as one statement: appends to base data and delta log,
@@ -133,7 +123,8 @@ class Database {
 
   /// Apply an insert at a pre-allocated version: append base rows and
   /// stage delta records into `table`'s unpublished log tail. Caller holds
-  /// the table's write stripe.
+  /// the table's write stripe. Rows pass ConformRows first; a mistyped row
+  /// fails the statement with nothing staged.
   Status StageInsert(const std::string& table, const std::vector<Tuple>& rows,
                      uint64_t version);
 
@@ -259,16 +250,6 @@ class Database {
   };
   IndexStatsSnapshot AggregateIndexStats() const;
 
-  /// Cross-table roll-up of the typed-column layout counters, read from the
-  /// currently published snapshots: how many chunks carry typed (unboxed)
-  /// columns, and how many cells sit in columns that fell back to boxed
-  /// storage after a type conflict.
-  struct TypedColumnStats {
-    uint64_t typed_chunks = 0;
-    uint64_t boxed_fallback_cells = 0;
-  };
-  TypedColumnStats AggregateTypedColumnStats() const;
-
   /// Bytes held by materialized index shards reachable from the currently
   /// published snapshots (reported separately from data bytes so
   /// carry-forward sharing is measurable).
@@ -281,7 +262,6 @@ class Database {
   /// Transparent comparator: find() accepts string_views (heterogeneous
   /// lookup) so per-call key strings are never built on the hot path.
   std::map<std::string, std::unique_ptr<Table>, std::less<>> tables_;
-  DatabaseOptions options_;
   VersionClock clock_;
   std::map<std::string, std::string> state_blobs_;
   std::atomic<size_t> publish_faults_{0};

@@ -8,16 +8,9 @@ std::shared_ptr<const HashShard> HashShard::Build(const ColumnVector& column,
                                                   size_t num_rows) {
   auto shard = std::make_shared<HashShard>();
   shard->buckets_.reserve(num_rows);
-  if (column.encoding() == ColumnVector::Encoding::kBoxed) {
-    const std::vector<Value>& vals = column.boxed();
-    for (uint32_t r = 0; r < num_rows; ++r) {
-      shard->buckets_[vals[r]].push_back(r);
-    }
-  } else {
-    // Typed encodings rebox each cell exactly once into its bucket key.
-    for (uint32_t r = 0; r < num_rows; ++r) {
-      shard->buckets_[column.GetValue(r)].push_back(r);
-    }
+  // Each cell is reboxed exactly once into its bucket key.
+  for (uint32_t r = 0; r < num_rows; ++r) {
+    shard->buckets_[column.GetValue(r)].push_back(r);
   }
   return shard;
 }
@@ -37,8 +30,8 @@ namespace {
 
 /// Sort (raw value, row) pairs replicating Value::Compare's three-way form
 /// exactly — `<` then `>` then row tie-break — so a NaN (which Compare
-/// treats as equal to everything) lands in the same position the boxed
-/// comparator would put it.
+/// treats as equal to everything) lands where a Value comparator would
+/// put it.
 template <typename T>
 void SortRawRun(std::vector<std::pair<T, uint32_t>>* run) {
   std::sort(run->begin(), run->end(),
@@ -56,8 +49,6 @@ std::shared_ptr<const SortedShard> SortedShard::Build(
   auto shard = std::make_shared<SortedShard>();
   shard->entries_.reserve(num_rows);
   switch (column.encoding()) {
-    case ColumnVector::Encoding::kUntyped:
-      return shard;  // all NULL: nothing to index
     case ColumnVector::Encoding::kInt64: {
       std::vector<std::pair<int64_t, uint32_t>> run;
       run.reserve(num_rows);
@@ -108,20 +99,7 @@ std::shared_ptr<const SortedShard> SortedShard::Build(
       }
       return shard;
     }
-    case ColumnVector::Encoding::kBoxed:
-      break;
   }
-  const std::vector<Value>& vals = column.boxed();
-  for (uint32_t r = 0; r < num_rows; ++r) {
-    if (vals[r].is_null()) continue;
-    shard->entries_.emplace_back(vals[r], r);
-  }
-  std::sort(shard->entries_.begin(), shard->entries_.end(),
-            [](const Entry& a, const Entry& b) {
-              int c = a.first.Compare(b.first);
-              if (c != 0) return c < 0;
-              return a.second < b.second;
-            });
   return shard;
 }
 

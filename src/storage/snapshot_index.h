@@ -61,9 +61,9 @@ class HashShard {
 /// matches them.
 class SortedShard {
  public:
-  /// Build from the first `num_rows` entries of a chunk column. Typed
-  /// encodings sort on the raw payload (no Value::Compare in the hot
-  /// comparator) and box each value once at materialization.
+  /// Build from the first `num_rows` entries of a chunk column, sorting
+  /// on the raw payload (no Value::Compare in the hot comparator) and
+  /// boxing each value once at materialization.
   static std::shared_ptr<const SortedShard> Build(const ColumnVector& column,
                                                   size_t num_rows);
 

@@ -5,6 +5,37 @@
 
 namespace imp {
 
+Status ConformRows(const Schema& schema, const std::vector<Tuple>& rows,
+                   std::vector<Tuple>* widened) {
+  std::vector<ValueType> types;
+  types.reserve(schema.size());
+  for (const ColumnDef& col : schema.columns()) types.push_back(col.type);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const Tuple& row = rows[r];
+    if (row.size() != types.size()) {
+      return Status::InvalidArgument(
+          "row has " + std::to_string(row.size()) + " values, table has " +
+          std::to_string(types.size()) + " columns");
+    }
+    for (size_t c = 0; c < row.size(); ++c) {
+      if (row[c].type() == types[c] || row[c].is_null()) continue;
+      if (!FitsColumnType(row[c].type(), types[c])) {
+        return Status::InvalidArgument(
+            "column " + schema.column(c).name + " is " +
+            ValueTypeName(types[c]) + ", got " + row[c].ToString());
+      }
+      if (widened->empty()) *widened = rows;  // the first widening copies
+      (*widened)[r][c] = Value::Double(static_cast<double>(row[c].AsInt()));
+    }
+  }
+  return Status::OK();
+}
+
+DataChunk::DataChunk(const Schema& schema) : num_rows_(0) {
+  columns_.reserve(schema.size());
+  for (const ColumnDef& col : schema.columns()) columns_.emplace_back(col.type);
+}
+
 void DataChunk::AppendRow(const Tuple& row) {
   IMP_DCHECK(row.size() == columns_.size());
   // Appends only ever hit writer-private chunks (a snapshot-shared tail is
@@ -44,14 +75,6 @@ DataChunk::ZoneEntry DataChunk::zone(size_t col) const {
   ZoneEntry z;
   z.valid = columns_[col].MinMax(&z.min, &z.max);
   return z;
-}
-
-size_t DataChunk::BoxedFallbackCells() const {
-  size_t cells = 0;
-  for (const auto& col : columns_) {
-    if (col.fell_back()) cells += col.size();
-  }
-  return cells;
 }
 
 size_t DataChunk::MemoryBytes() const {
@@ -321,10 +344,8 @@ size_t TableSnapshot::MemoryBytes() const {
 
 // ---- Table -----------------------------------------------------------------
 
-Table::Table(std::string name, Schema schema, bool typed_columns)
-    : name_(std::move(name)),
-      schema_(std::move(schema)),
-      typed_columns_(typed_columns) {
+Table::Table(std::string name, Schema schema)
+    : name_(std::move(name)), schema_(std::move(schema)) {
   // Publish the empty snapshot so readers never observe a null pointer.
   snapshot_ = std::make_shared<const TableSnapshot>(
       this, std::vector<std::shared_ptr<const DataChunk>>{}, /*num_rows=*/0,
@@ -334,8 +355,7 @@ Table::Table(std::string name, Schema schema, bool typed_columns)
 void Table::AppendRow(const Tuple& row) {
   IMP_CHECK_MSG(row.size() == schema_.size(), name_.c_str());
   if (chunks_.empty() || chunks_.back()->Full()) {
-    chunks_.push_back(
-        std::make_shared<DataChunk>(schema_.size(), typed_columns_));
+    chunks_.push_back(std::make_shared<DataChunk>(schema_));
   } else if (chunks_.back().use_count() > 1) {
     // The tail chunk is still referenced by a published snapshot, so it is
     // physically immutable for pinned readers. Small tails are cloned
@@ -347,8 +367,7 @@ void Table::AppendRow(const Tuple& row) {
     // re-clone an ever-growing tail, quadratic over a chunk's fill) while
     // keeping every sealed chunk at least kSealThreshold rows full.
     if (chunks_.back()->num_rows() >= DataChunk::kSealThreshold) {
-      chunks_.push_back(
-          std::make_shared<DataChunk>(schema_.size(), typed_columns_));
+      chunks_.push_back(std::make_shared<DataChunk>(schema_));
     } else {
       chunks_.back() = std::make_shared<DataChunk>(*chunks_.back());
     }
@@ -375,8 +394,7 @@ std::vector<Tuple> Table::DeleteWhereLimit(
         continue;
       }
       if (kept.empty() || kept.back()->Full()) {
-        kept.push_back(
-            std::make_shared<DataChunk>(schema_.size(), typed_columns_));
+        kept.push_back(std::make_shared<DataChunk>(schema_));
       }
       kept.back()->AppendRow(row);
       ++kept_rows;

@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "common/schema.h"
+#include "common/status.h"
 #include "common/tuple.h"
 #include "storage/column_vector.h"
 #include "storage/delta_log.h"
@@ -75,34 +76,21 @@ class DataChunk {
   /// clone while keeping chunks at least this full.
   static constexpr size_t kSealThreshold = 256;
 
-  /// `typed` selects the typed columnar layout (ColumnVector adaptive
-  /// encodings) over the legacy boxed vector<Value> layout. Both are
-  /// observationally bit-identical; typed is what Database/Table pass by
-  /// default.
-  explicit DataChunk(size_t num_columns, bool typed = false)
-      : columns_(num_columns, ColumnVector(typed)),
-        num_rows_(0),
-        typed_(typed) {}
+  /// An empty chunk with one column vector per schema column, each
+  /// committed to its column's type.
+  explicit DataChunk(const Schema& schema);
 
   /// Copy the row data (and its inline zone accumulators) but NOT the shard
   /// cache: a COW clone is a fresh, writer-private chunk whose contents
   /// will diverge immediately.
   DataChunk(const DataChunk& other)
-      : columns_(other.columns_),
-        num_rows_(other.num_rows_),
-        typed_(other.typed_) {}
+      : columns_(other.columns_), num_rows_(other.num_rows_) {}
   DataChunk& operator=(const DataChunk&) = delete;
 
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
   bool Full() const { return num_rows_ >= kDefaultCapacity; }
-  /// True when this chunk stores typed column vectors (individual columns
-  /// may still have reboxed on a type conflict; see BoxedFallbackCells).
-  bool typed() const { return typed_; }
-  /// Cells of typed-mode columns that had to rebox into the legacy layout
-  /// because the column received conflicting value types.
-  size_t BoxedFallbackCells() const;
-
+  /// Append a row already checked by ConformRows.
   void AppendRow(const Tuple& row);
   /// Value of column `col` in row `row` (bounds-checked in debug builds).
   /// Reboxes typed cells — by value; use column() for the unboxed payload.
@@ -153,7 +141,6 @@ class DataChunk {
  private:
   std::vector<ColumnVector> columns_;
   size_t num_rows_;
-  bool typed_;
   /// Shard cache. Guards the maps only; the shards themselves are
   /// immutable. Leaf lock (acquired under a snapshot's index_mu_ during
   /// assembly; shard builds take no further locks).
@@ -163,6 +150,16 @@ class DataChunk {
 };
 
 class Table;
+
+/// The write-boundary type check every stored row passes (Database's
+/// BulkLoad and StageInsert run it before anything is appended): a row
+/// must have one cell per column, each NULL or of its column's type, except
+/// that an INT widens into a DOUBLE column. Anything else fails with
+/// InvalidArgument. When a cell widens, `*widened` receives the converted
+/// copy of `rows` to store instead; otherwise it is left empty and `rows`
+/// is stored as is (no copy).
+Status ConformRows(const Schema& schema, const std::vector<Tuple>& rows,
+                   std::vector<Tuple>* widened);
 
 /// Cumulative per-table index maintenance / probe counters. Snapshots are
 /// const on the read path, so the counters live on the Table and are
@@ -311,10 +308,9 @@ class TableSnapshot {
 /// (Database::WriteSession(table)); Snapshot() is the lock-free read side.
 class Table {
  public:
-  /// `typed_columns` selects the typed ColumnVector chunk layout (default)
-  /// over the legacy boxed one for every chunk this table creates; both
-  /// layouts are observationally bit-identical.
-  Table(std::string name, Schema schema, bool typed_columns = true);
+  /// Every column of `schema` must carry a type (Database::CreateTable
+  /// rejects untyped columns).
+  Table(std::string name, Schema schema);
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
@@ -341,7 +337,8 @@ class Table {
 
   /// Append a row to the base data (does not touch the delta log; the
   /// Database wrapper records deltas with version stamps). Clones the tail
-  /// chunk first when a published snapshot still shares it.
+  /// chunk first when a published snapshot still shares it. The row must
+  /// already have passed ConformRows.
   void AppendRow(const Tuple& row);
 
   /// Remove all rows matching `pred`; returns the removed rows. Rebuilds
@@ -395,7 +392,6 @@ class Table {
  private:
   std::string name_;
   Schema schema_;
-  bool typed_columns_ = true;
   std::vector<std::shared_ptr<DataChunk>> chunks_;
   size_t num_rows_ = 0;
   uint64_t snapshot_epoch_ = 0;  ///< writer-side; last published epoch

@@ -16,6 +16,16 @@ BitVector Bits(std::initializer_list<size_t> bits, size_t n = 8) {
   return bv;
 }
 
+/// FilterWithMask's input: one bit per row of `delta` satisfying `pred`.
+template <typename Pred>
+BitVector MaskOf(const AnnotatedDelta& delta, Pred pred) {
+  BitVector mask(delta.size());
+  for (size_t i = 0; i < delta.size(); ++i) {
+    if (pred(delta.rows[i])) mask.Set(i);
+  }
+  return mask;
+}
+
 TEST(AnnotatedDeltaTest, InsertDeleteCounts) {
   AnnotatedDelta d;
   d.Append({Value::Int(1)}, Bits({0}), 3);
@@ -104,8 +114,8 @@ TEST(DeltaBatchTest, SelectionBitmapMatchesEagerFilteredCopy) {
   AnnotatedDelta shared = ThreeRowDelta();
   auto keep_positive = [](const AnnotatedDeltaRow& r) { return r.mult > 0; };
   // Borrowed path: refine a selection bitmap over the shared delta.
-  DeltaBatch borrowed =
-      DeltaBatch::Borrowed(&shared).Filter(keep_positive);
+  DeltaBatch borrowed = DeltaBatch::Borrowed(&shared).FilterWithMask(
+      MaskOf(shared, keep_positive));
   EXPECT_TRUE(borrowed.borrowed());
   EXPECT_TRUE(borrowed.filtered());
   EXPECT_EQ(borrowed.base(), &shared);
@@ -122,21 +132,22 @@ TEST(DeltaBatchTest, SelectionBitmapMatchesEagerFilteredCopy) {
 TEST(DeltaBatchTest, FilterChainsRefineTheSameBitmap) {
   AnnotatedDelta shared = ThreeRowDelta();
   DeltaBatch batch = DeltaBatch::Borrowed(&shared)
-                         .Filter([](const AnnotatedDeltaRow& r) {
+                         .FilterWithMask(MaskOf(shared, [](const auto& r) {
                            return r.mult > 0;  // rows 1, 3
-                         })
-                         .Filter([](const AnnotatedDeltaRow& r) {
-                           return r.row[0].AsInt() >= 3;  // row 3
-                         });
+                         }))
+                         .FilterWithMask(MaskOf(shared, [](const auto& r) {
+                           return r.row[0].AsInt() >= 2;  // rows 2, 3
+                         }));
   EXPECT_TRUE(batch.borrowed());
   EXPECT_EQ(VisibleFirstColumns(batch), std::vector<int64_t>{3});
 }
 
 TEST(DeltaBatchTest, OwnedFilterKeepsOrderInPlace) {
-  DeltaBatch batch = DeltaBatch::OwnedOf(ThreeRowDelta())
-                         .Filter([](const AnnotatedDeltaRow& r) {
-                           return r.row[0].AsInt() != 2;
-                         });
+  AnnotatedDelta owned = ThreeRowDelta();
+  BitVector mask = MaskOf(
+      owned, [](const auto& r) { return r.row[0].AsInt() != 2; });
+  DeltaBatch batch =
+      DeltaBatch::OwnedOf(std::move(owned)).FilterWithMask(mask);
   EXPECT_FALSE(batch.borrowed());
   EXPECT_EQ(VisibleFirstColumns(batch), (std::vector<int64_t>{1, 3}));
 }

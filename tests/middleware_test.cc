@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/executor.h"
 #include "middleware/imp_system.h"
 #include "test_util.h"
 #include "workload/synthetic.h"
@@ -216,6 +217,122 @@ TEST_F(MiddlewareTest, PartitionTableHelperBuildsEquiDepth) {
   EXPECT_GE(part->num_fragments(), 2u);
   EXPECT_FALSE(system.PartitionTable("sales", "price", 4).ok());  // dup
   EXPECT_FALSE(system.PartitionTable("ghost", "x", 4).ok());
+}
+
+// ---- Sketch-use invariant at the partition's edges -------------------------
+
+std::vector<Tuple> SalesRows(const Database& db) {
+  std::vector<Tuple> rows;
+  db.GetTable("sales")->ForEachRow([&](const Tuple& r) { rows.push_back(r); });
+  return rows;
+}
+
+TEST_F(MiddlewareTest, ValuesOutsideThePartitionStayInSketchAnswers) {
+  // FragmentOf clamps prices outside [1, 10000] into the edge fragments;
+  // the use-rewrite must not bound those fragments' runs at the partition
+  // bounds, or the sketch-filtered answer loses the outlying Zed row.
+  const char* kQuery =
+      "SELECT brand, sum(numSold) AS n FROM sales GROUP BY brand "
+      "HAVING sum(numSold) > 50";
+  for (int64_t outlier : {20000, 0}) {
+    Database db;
+    LoadSalesExample(&db);
+    ImpSystem system(&db, ImpConfig{});
+    ASSERT_TRUE(system.RegisterPartition(SalesPricePartition()).ok());
+    const int64_t in_domain = outlier > 0 ? 5000 : 300;  // same fragment
+    ASSERT_TRUE(system
+                    .Update("INSERT INTO sales VALUES (9, 'Zed', 'Z', " +
+                            std::to_string(outlier) + ", 100), (10, 'Zed', "
+                            "'Z', " + std::to_string(in_domain) + ", 1)")
+                    .ok());
+    auto sketched = system.Query(kQuery);
+    auto plain = Executor(&db).Execute(MustBind(db, kQuery));
+    ASSERT_TRUE(sketched.ok() && plain.ok()) << "price " << outlier;
+    EXPECT_EQ(system.stats().sketch_uses, 1u) << "price " << outlier;
+    ASSERT_EQ(plain.value().size(), 1u) << "price " << outlier;
+    EXPECT_TRUE(sketched.value().SameBag(plain.value())) << "price " << outlier;
+  }
+}
+
+TEST_F(MiddlewareTest, NullPartitionValueIsRejected) {
+  // A range predicate cannot admit NULL, so partition attributes are NOT
+  // NULL: the write path rejects a NULL price, and partitioning a column
+  // that already holds one fails.
+  auto system = NewSystem(ExecutionMode::kIncremental);
+  const std::vector<Tuple> before = SalesRows(db_);
+  EXPECT_EQ(system->Update("INSERT INTO sales VALUES (9, 'Zed', 'Z', NULL, 1)")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(system->Update("UPDATE sales SET price = NULL WHERE sid = 1")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SalesRows(db_), before);
+  EXPECT_EQ(db_.PendingDeltaCount("sales", 0), 0u);
+
+  ASSERT_TRUE(db_.Insert("sales", {{Value::Int(9), Value::String("Zed"),
+                                    Value::String("Z"), Value::Null(),
+                                    Value::Int(1)}})
+                  .ok());
+  ImpSystem fresh(&db_, ImpConfig{});
+  EXPECT_EQ(fresh.RegisterPartition(SalesPricePartition()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fresh.PartitionTable("sales", "price", 4).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(system->RepartitionTable("sales", "price", 4).code(),
+            StatusCode::kInvalidArgument);
+}
+
+// ---- Write boundary ---------------------------------------------------------
+
+TEST_F(MiddlewareTest, MistypedWritesChangeNothingSyncOrAsync) {
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "sync");
+    Database db;
+    LoadSalesExample(&db);
+    ImpConfig config;
+    config.async_ingestion = async;
+    ImpSystem system(&db, config);
+    ASSERT_TRUE(system.RegisterPartition(SalesPricePartition()).ok());
+    const std::vector<Tuple> before = SalesRows(db);
+
+    // The binder rejects the mistyped literal...
+    EXPECT_EQ(
+        system.Update("INSERT INTO sales VALUES (9, 'Zed', 'Z', 'oops', 1)")
+            .status()
+            .code(),
+        StatusCode::kBindError);
+    // ...and the same row bound by hand fails at the storage boundary, in
+    // async mode too: before it is enqueued, not as a dead letter.
+    BoundUpdate insert;
+    insert.kind = BoundUpdate::Kind::kInsert;
+    insert.table = "sales";
+    insert.rows = {{Value::Int(9), Value::String("Zed"), Value::String("Z"),
+                    Value::String("oops"), Value::Int(1)}};
+    EXPECT_EQ(system.UpdateBound(insert).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(db.Insert("sales", insert.rows).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(system.DeadLetters().empty());
+
+    // A hand-bound UPDATE writing a string into price fails before its
+    // delete half is staged (async: on the worker, as a dead letter).
+    BoundUpdate update;
+    update.kind = BoundUpdate::Kind::kUpdate;
+    update.table = "sales";
+    update.sets = {{3, MakeLiteral(Value::String("oops"))}};
+    Result<uint64_t> updated = system.UpdateBound(update);
+    if (async) {
+      EXPECT_TRUE(updated.ok());
+      EXPECT_EQ(system.WaitForIngest().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(system.DeadLetters().size(), 1u);
+    } else {
+      EXPECT_EQ(updated.status().code(), StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ(SalesRows(db), before);
+    EXPECT_EQ(db.PendingDeltaCount("sales", 0), 0u);
+  }
 }
 
 }  // namespace

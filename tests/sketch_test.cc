@@ -184,8 +184,8 @@ TEST_F(CaptureTest, UseRewriteSkipsDataAndPreservesResult) {
 }
 
 TEST_F(CaptureTest, AdjacentRangesMerge) {
-  // Sketch {ρ3, ρ4} merges into one BETWEEN-style interval (footnote 2):
-  // price >= 1001 AND price <= 10000.
+  // Sketch {ρ3, ρ4} merges into one interval (footnote 2): price >= 1001,
+  // unbounded above because ρ4 is the last fragment.
   ProvenanceSketch sketch;
   sketch.fragments = BitVector(4);
   sketch.fragments.Set(2);
@@ -193,7 +193,7 @@ TEST_F(CaptureTest, AdjacentRangesMerge) {
   ExprPtr pred = SketchScanPredicate(catalog_, "sales", sketch);
   ASSERT_NE(pred, nullptr);
   std::string text = pred->ToString();
-  // A single conjunction, no OR.
+  // A single interval, no OR.
   EXPECT_EQ(text.find("OR"), std::string::npos) << text;
   // Check the predicate's semantics on boundary prices.
   auto matches = [&](int64_t price) {
@@ -204,6 +204,21 @@ TEST_F(CaptureTest, AdjacentRangesMerge) {
   EXPECT_FALSE(matches(1000));
   EXPECT_TRUE(matches(1001));
   EXPECT_TRUE(matches(10000));
+  // FragmentOf clamps prices above 10000 into ρ4.
+  EXPECT_TRUE(matches(20000));
+
+  // {ρ1, ρ2} holds the first fragment, which FragmentOf also gives prices
+  // below 1: unbounded below, bounded by ρ3's start above.
+  sketch.fragments = BitVector(4);
+  sketch.fragments.Set(0);
+  sketch.fragments.Set(1);
+  pred = SketchScanPredicate(catalog_, "sales", sketch);
+  ASSERT_NE(pred, nullptr);
+  EXPECT_TRUE(matches(0));
+  EXPECT_TRUE(matches(-5));
+  EXPECT_TRUE(matches(1000));
+  EXPECT_FALSE(matches(1001));
+  EXPECT_FALSE(matches(20000));
 }
 
 TEST_F(CaptureTest, FullSketchMeansNoPredicate) {

@@ -246,6 +246,38 @@ TEST_F(BinderTest, DeleteAndUpdateBinding) {
   EXPECT_EQ(upd.value().update.sets[0].first, 4u);
 }
 
+TEST_F(BinderTest, TypeErrorsAreBindErrors) {
+  Binder binder(&db_);
+  // Arithmetic and negation need numbers, % needs integers, SUM and AVG a
+  // numeric argument; an INSERT value or SET expression must fit its
+  // column. Each of these used to abort the process at evaluation.
+  const char* bad[] = {
+      "SELECT sid, brand - 1 AS x FROM sales",
+      "SELECT sid, -brand AS x FROM sales",
+      "SELECT sid, 5.5 % 2 AS m FROM sales",
+      "SELECT sum(brand) AS s FROM sales",
+      "SELECT avg(brand) AS s FROM sales",
+      "INSERT INTO sales VALUES (9, 'Zed', 'Z', 'oops', 1)",
+      "UPDATE sales SET price = 'cheap' WHERE sid = 1",
+      "UPDATE sales SET numSold = price * 1.5",
+  };
+  for (const char* sql : bad) {
+    EXPECT_EQ(binder.BindSql(sql).status().code(), StatusCode::kBindError)
+        << sql;
+  }
+  // A NULL fits anywhere; + also concatenates two strings.
+  const char* good[] = {
+      "SELECT sid, brand + productName AS s FROM sales",
+      "SELECT sid, price % 7 AS m, -price AS n FROM sales",
+      "SELECT sum(price + NULL) AS s FROM sales",
+      "INSERT INTO sales VALUES (9, NULL, 'Z', NULL, NULL)",
+      "UPDATE sales SET brand = NULL, numSold = numSold / 2",
+  };
+  for (const char* sql : good) {
+    EXPECT_TRUE(binder.BindSql(sql).ok()) << sql;
+  }
+}
+
 TEST_F(BinderTest, AppendixQueriesBind) {
   // Q_having family (A.1.1).
   MustBind(db_, "SELECT a, avg(b) AS ab FROM r500 GROUP BY a");

@@ -1,8 +1,8 @@
 // Unit tests for the storage backend: chunked tables, versioned updates,
 // delta scans with push-down predicates, and the lock-free read path —
 // immutable epoch-stamped TableSnapshots (copy-on-write chunk sharing),
-// ReadViews pinning a consistent watermark across tables, and the
-// segmented wait-free delta log under truncation.
+// ReadViews pinning a consistent watermark across tables, the segmented
+// wait-free delta log under truncation, and the write-boundary type check.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <random>
 #include <thread>
 
-#include "common/hash.h"
 #include "storage/database.h"
 
 namespace imp {
@@ -26,7 +25,7 @@ Schema TwoColSchema() {
 Tuple Row(int64_t id, int64_t v) { return Tuple{Value::Int(id), Value::Int(v)}; }
 
 TEST(DataChunkTest, AppendAndRead) {
-  DataChunk chunk(2);
+  DataChunk chunk(TwoColSchema());
   chunk.AppendRow(Row(1, 10));
   chunk.AppendRow(Row(2, 20));
   EXPECT_EQ(chunk.num_rows(), 2u);
@@ -613,206 +612,71 @@ TEST(SnapshotIndexTest, ConcurrentLazyBuildsRacingPublications) {
   EXPECT_GT(istats.shards_reused.load(), reused_before);
 }
 
-// ---- Typed columnar layout (storage/column_vector) --------------------------
+// ---- Write boundary: column types are storage types -------------------------
 
-// Column profiles for the typed-vs-boxed twin suite: every encoding plus
-// the fallback shapes.
-enum ColProfile {
-  kProfInt = 0,      // kInt64
-  kProfDouble,       // kDouble (integral and fractional values)
-  kProfDictStr,      // kDictString (16 distinct)
-  kProfFlatStr,      // overflows the dictionary -> kFlatString
-  kProfNullHeavyInt, // 60% NULL
-  kProfMixed,        // conflicting types -> boxed fallback
-  kNumProfiles,
-};
-
-Value RandomProfileCell(std::mt19937* rng, int profile) {
-  auto pick = [&](int64_t lo, int64_t hi) {
-    return lo + static_cast<int64_t>((*rng)() % static_cast<uint64_t>(hi - lo + 1));
-  };
-  if (profile != kProfMixed && pick(0, 9) == 0) return Value::Null();
-  switch (profile) {
-    case kProfInt:
-      return Value::Int(pick(-1000, 1000));
-    case kProfDouble:
-      return pick(0, 1) == 0 ? Value::Double(static_cast<double>(pick(-50, 50)))
-                             : Value::Double(static_cast<double>(pick(-500, 500)) / 7.0);
-    case kProfDictStr:
-      return Value::String("tag" + std::to_string(pick(0, 15)));
-    case kProfFlatStr:
-      return Value::String("payload-" + std::to_string(pick(0, 5000)));
-    case kProfNullHeavyInt:
-      return pick(0, 9) < 6 ? Value::Null() : Value::Int(pick(0, 99));
-    default:
-      switch (pick(0, 2)) {
-        case 0:
-          return Value::Int(pick(0, 9));
-        case 1:
-          return Value::Double(static_cast<double>(pick(0, 9)) + 0.5);
-        default:
-          return Value::String("m" + std::to_string(pick(0, 9)));
-      }
-  }
+Schema PriceSchema() {
+  Schema s;
+  s.AddColumn("id", ValueType::kInt);
+  s.AddColumn("price", ValueType::kDouble);
+  return s;
 }
 
-TEST(ColumnVectorTest, AdaptiveEncodingCommitsAndRoundTrips) {
-  std::mt19937 rng(7);
-  DataChunk typed(kNumProfiles, /*typed=*/true);
-  DataChunk boxed(kNumProfiles, /*typed=*/false);
+std::vector<Tuple> TableRows(const Database& db, const std::string& table) {
   std::vector<Tuple> rows;
-  for (int i = 0; i < 2000; ++i) {
-    Tuple row;
-    for (int p = 0; p < kNumProfiles; ++p) {
-      row.push_back(RandomProfileCell(&rng, p));
-    }
-    typed.AppendRow(row);
-    boxed.AppendRow(row);
-    rows.push_back(std::move(row));
-  }
-  EXPECT_EQ(typed.column(kProfInt).encoding(), ColumnVector::Encoding::kInt64);
-  EXPECT_EQ(typed.column(kProfDouble).encoding(),
-            ColumnVector::Encoding::kDouble);
-  EXPECT_EQ(typed.column(kProfDictStr).encoding(),
-            ColumnVector::Encoding::kDictString);
-  EXPECT_EQ(typed.column(kProfFlatStr).encoding(),
-            ColumnVector::Encoding::kFlatString);
-  EXPECT_TRUE(typed.column(kProfMixed).fell_back());
-  EXPECT_EQ(typed.BoxedFallbackCells(), rows.size());  // only the mixed column
-
-  // Every cell reboxes exactly; zone maps agree with the boxed layout.
-  for (size_t r = 0; r < rows.size(); ++r) {
-    for (int c = 0; c < kNumProfiles; ++c) {
-      EXPECT_EQ(typed.At(r, c).Compare(rows[r][c]), 0)
-          << "row " << r << " col " << c;
-      EXPECT_EQ(typed.At(r, c).type(), rows[r][c].type());
-    }
-  }
-  for (int c = 0; c < kNumProfiles; ++c) {
-    DataChunk::ZoneEntry zt = typed.zone(c);
-    DataChunk::ZoneEntry zb = boxed.zone(c);
-    ASSERT_EQ(zt.valid, zb.valid) << "col " << c;
-    if (zt.valid) {
-      EXPECT_EQ(zt.min.Compare(zb.min), 0) << "col " << c;
-      EXPECT_EQ(zt.max.Compare(zb.max), 0) << "col " << c;
-    }
-  }
+  db.GetTable(table)->ForEachRow([&](const Tuple& r) { rows.push_back(r); });
+  return rows;
 }
 
-TEST(ColumnVectorTest, AllNullColumnStaysUntyped) {
-  ColumnVector cv(/*typed=*/true);
-  for (int i = 0; i < 10; ++i) cv.Append(Value::Null());
-  EXPECT_EQ(cv.encoding(), ColumnVector::Encoding::kUntyped);
-  EXPECT_TRUE(cv.IsNull(3));
-  EXPECT_TRUE(cv.GetValue(7).is_null());
-  Value mn, mx;
-  EXPECT_FALSE(cv.MinMax(&mn, &mx));
-  // Committing after a NULL prefix backfills the payload.
-  cv.Append(Value::Int(5));
-  EXPECT_EQ(cv.encoding(), ColumnVector::Encoding::kInt64);
-  EXPECT_TRUE(cv.GetValue(0).is_null());
-  EXPECT_EQ(cv.GetValue(10), Value::Int(5));
+TEST(WriteBoundaryTest, CreateTableRejectsUntypedColumn) {
+  Database db;
+  Schema schema = TwoColSchema();
+  schema.AddColumn("untyped", ValueType::kNull);
+  Status st = db.CreateTable("t", schema);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_FALSE(db.HasTable("t"));
 }
 
-TEST(ColumnVectorTest, GatherMatchesGetRowLoop) {
-  std::mt19937 rng(11);
-  DataChunk typed(kNumProfiles, /*typed=*/true);
-  for (int i = 0; i < 1500; ++i) {
-    Tuple row;
-    for (int p = 0; p < kNumProfiles; ++p) {
-      row.push_back(RandomProfileCell(&rng, p));
-    }
-    typed.AppendRow(row);
+TEST(WriteBoundaryTest, MistypedRowChangesNothing) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", PriceSchema()).ok());
+  ASSERT_TRUE(db.BulkLoad("t", {{Value::Int(1), Value::Double(2.5)}}).ok());
+  ASSERT_TRUE(db.Insert("t", {{Value::Int(2), Value::Double(3.5)}}).ok());
+  const std::vector<Tuple> before = TableRows(db, "t");
+  const size_t deltas_before = db.PendingDeltaCount("t", 0);
+
+  // The bad row comes last, so a row-at-a-time append would have stored
+  // the good ones already.
+  const std::vector<std::vector<Tuple>> bad_batches = {
+      {{Value::Int(3), Value::Double(1.0)},
+       {Value::Int(4), Value::String("oops")}},
+      {{Value::Int(3), Value::Double(1.0)},
+       {Value::Double(4.0), Value::Null()}},
+      {{Value::Int(3), Value::Double(1.0)}, {Value::Int(4)}},  // arity
+  };
+  for (const std::vector<Tuple>& bad : bad_batches) {
+    EXPECT_EQ(db.BulkLoad("t", bad).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(db.Insert("t", bad).status().code(),
+              StatusCode::kInvalidArgument);
   }
-  BitVector sel(typed.num_rows());
-  for (size_t r = 0; r < typed.num_rows(); ++r) {
-    if (rng() % 3 == 0) sel.Set(r);
-  }
-  std::vector<Tuple> gathered = typed.GatherRows(sel);
-  std::vector<Tuple> reference;
-  sel.ForEachSetBit([&](size_t r) { reference.push_back(typed.GetRow(r)); });
-  ASSERT_EQ(gathered.size(), reference.size());
-  for (size_t i = 0; i < gathered.size(); ++i) {
-    ASSERT_EQ(gathered[i].size(), reference[i].size());
-    for (size_t c = 0; c < gathered[i].size(); ++c) {
-      EXPECT_EQ(gathered[i][c].Compare(reference[i][c]), 0);
-      EXPECT_EQ(gathered[i][c].type(), reference[i][c].type());
-    }
-  }
+  EXPECT_EQ(TableRows(db, "t"), before);
+  EXPECT_EQ(db.PendingDeltaCount("t", 0), deltas_before);
 }
 
-TEST(ColumnVectorTest, AppendKeyHashesMatchesBoxedHashLoop) {
-  std::mt19937 rng(13);
-  for (int profile = 0; profile < kNumProfiles; ++profile) {
-    ColumnVector cv(/*typed=*/true);
-    const size_t n = 800;
-    for (size_t i = 0; i < n; ++i) {
-      cv.Append(RandomProfileCell(&rng, profile));
-    }
-    constexpr uint64_t kSeed = 0x2545f4914f6cdd1dULL;
-    std::vector<uint64_t> batched(n, kSeed);
-    cv.AppendKeyHashes(n, &batched);
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t expect = HashCombine(kSeed, cv.GetValue(i).Hash());
-      ASSERT_EQ(batched[i], expect) << "profile " << profile << " row " << i;
-    }
-  }
-}
-
-TEST(TableTest, TypedVsBoxedTwinTablesBitIdentical) {
-  DatabaseOptions boxed_opts;
-  boxed_opts.typed_columns = false;
-  Database typed_db;
-  Database boxed_db(boxed_opts);
-  Schema schema;
-  schema.AddColumn("i", ValueType::kInt);
-  schema.AddColumn("d", ValueType::kDouble);
-  schema.AddColumn("s", ValueType::kString);
-  ASSERT_TRUE(typed_db.CreateTable("t", schema).ok());
-  ASSERT_TRUE(boxed_db.CreateTable("t", schema).ok());
-
-  std::mt19937 rng(17);
-  for (int round = 0; round < 12; ++round) {
-    std::vector<Tuple> batch;
-    for (int i = 0; i < 700; ++i) {
-      batch.push_back(Tuple{RandomProfileCell(&rng, kProfInt),
-                            RandomProfileCell(&rng, kProfDouble),
-                            RandomProfileCell(&rng, kProfDictStr)});
-    }
-    int64_t doomed = static_cast<int64_t>(rng() % 2000) - 1000;
-    for (Database* db : {&typed_db, &boxed_db}) {
-      ASSERT_TRUE(db->Insert("t", batch).ok());
-      if (round % 4 == 3) {
-        ASSERT_TRUE(db->Delete("t", [&](const Tuple& row) {
-                        return row[0].is_int() && row[0].AsInt() < doomed;
-                      }).ok());
-      }
-    }
-    std::vector<Tuple> typed_rows, boxed_rows;
-    typed_db.GetTable("t")->ForEachRow(
-        [&](const Tuple& r) { typed_rows.push_back(r); });
-    boxed_db.GetTable("t")->ForEachRow(
-        [&](const Tuple& r) { boxed_rows.push_back(r); });
-    ASSERT_EQ(typed_rows.size(), boxed_rows.size()) << "round " << round;
-    for (size_t i = 0; i < typed_rows.size(); ++i) {
-      ASSERT_TRUE(TupleEq{}(typed_rows[i], boxed_rows[i]))
-          << "round " << round << " row " << i;
-    }
-    for (size_t c = 0; c < schema.size(); ++c) {
-      std::pair<Value, Value> t = typed_db.GetTable("t")->ColumnMinMax(c);
-      std::pair<Value, Value> b = boxed_db.GetTable("t")->ColumnMinMax(c);
-      EXPECT_EQ(t.first.Compare(b.first), 0) << "col " << c;
-      EXPECT_EQ(t.second.Compare(b.second), 0) << "col " << c;
-    }
-  }
-  // The typed layout actually engaged, and it is the smaller one for this
-  // numeric/dictionary-friendly data.
-  Database::TypedColumnStats tstats = typed_db.AggregateTypedColumnStats();
-  EXPECT_GT(tstats.typed_chunks, 0u);
-  EXPECT_EQ(tstats.boxed_fallback_cells, 0u);
-  EXPECT_EQ(boxed_db.AggregateTypedColumnStats().typed_chunks, 0u);
-  EXPECT_LT(typed_db.GetTable("t")->MemoryBytes(),
-            boxed_db.GetTable("t")->MemoryBytes());
+TEST(WriteBoundaryTest, IntWidensIntoDoubleColumn) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", PriceSchema()).ok());
+  ASSERT_TRUE(db.BulkLoad("t", {{Value::Int(1), Value::Int(7)}}).ok());
+  ASSERT_TRUE(db.Insert("t", {{Value::Int(2), Value::Int(-3)}}).ok());
+  std::vector<Tuple> rows = TableRows(db, "t");
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_TRUE(rows[0][1].is_double());
+  EXPECT_EQ(rows[0][1].AsDouble(), 7.0);
+  EXPECT_TRUE(rows[1][1].is_double());
+  EXPECT_EQ(rows[1][1].AsDouble(), -3.0);
+  // The delta log records the stored (widened) row, not the written one.
+  TableDelta delta = db.ScanDelta("t", 0, db.CurrentVersion());
+  ASSERT_EQ(delta.size(), 1u);
+  EXPECT_TRUE(delta.records[0].row[1].is_double());
 }
 
 TEST(TableSnapshotTest, TypedCowTailAppendDuringConcurrentReads) {

@@ -2,17 +2,20 @@
 // (exec/vector_kernels): for any predicate the compiler sees — compilable,
 // partially compilable, or fully scalar — the kernel's selection bitmap
 // must be bit-for-bit identical to row-at-a-time Expr::Eval, over both
-// columnar chunks and row-major blocks. Also checks end-to-end: queries,
-// captures and maintenance produce identical results with the kernels on
-// and off.
+// columnar chunks and row-major blocks. Also checks end-to-end that
+// queries, captures and maintenance match row-at-a-time oracles, and that
+// the column storage matches the Values appended to it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "exec/executor.h"
 #include "exec/vector_kernels.h"
@@ -21,6 +24,7 @@
 #include "imp/maintainer.h"
 #include "sketch/capture.h"
 #include "sketch/partition.h"
+#include "sketch/use_rewrite.h"
 #include "test_util.h"
 
 namespace imp {
@@ -278,13 +282,49 @@ TEST(VectorKernelTest, NullPredicateSelectsEverything) {
   EXPECT_EQ(sel.Count(), rows.size());
 }
 
-// ---- End-to-end: queries, capture, maintenance ------------------------------
+// ---- End-to-end: one execution path against row-at-a-time oracles ---------
 
-TEST(VectorKernelTest, ExecutorVectorizedOffMatchesOn) {
+/// Test-side oracle for scan / select / project plans: filter and project
+/// `base` one row at a time with Expr::Eval.
+std::vector<Tuple> RowAtATime(const PlanPtr& plan,
+                              const std::vector<Tuple>& base) {
+  std::vector<Tuple> out;
+  switch (plan->kind()) {
+    case PlanKind::kScan: {
+      const ExprPtr& filter = static_cast<const ScanNode&>(*plan).filter();
+      for (const Tuple& row : base) {
+        if (!filter || ScalarBit(filter, row)) out.push_back(row);
+      }
+      return out;
+    }
+    case PlanKind::kSelect: {
+      const auto& node = static_cast<const SelectNode&>(*plan);
+      for (Tuple& row : RowAtATime(node.child(), base)) {
+        if (ScalarBit(node.predicate(), row)) out.push_back(std::move(row));
+      }
+      return out;
+    }
+    case PlanKind::kProject: {
+      const auto& node = static_cast<const ProjectNode&>(*plan);
+      for (const Tuple& row : RowAtATime(node.child(), base)) {
+        Tuple projected;
+        for (const ExprPtr& e : node.exprs()) projected.push_back(e->Eval(row));
+        out.push_back(std::move(projected));
+      }
+      return out;
+    }
+    default:
+      ADD_FAILURE() << "the oracle covers scan, select and project only";
+      return out;
+  }
+}
+
+TEST(VectorKernelTest, ExecutorMatchesRowAtATimeOracle) {
   Rng rng(45);
   Database db;
   ASSERT_TRUE(db.CreateTable("t", MixedSchema()).ok());
-  ASSERT_TRUE(db.BulkLoad("t", RandomRows(&rng, 6000)).ok());
+  std::vector<Tuple> rows = RandomRows(&rng, 6000);
+  ASSERT_TRUE(db.BulkLoad("t", rows).ok());
   struct Case {
     const char* sql;
     bool expect_kernel_batches;  // false: fully scalar-fallback shape
@@ -298,67 +338,55 @@ TEST(VectorKernelTest, ExecutorVectorizedOffMatchesOn) {
   };
   for (const Case& c : queries) {
     PlanPtr plan = MustBind(db, c.sql);
-    Executor on(&db);
-    Executor off(&db);
-    off.set_vectorized(false);
-    auto r_on = on.Execute(plan);
-    auto r_off = off.Execute(plan);
-    ASSERT_TRUE(r_on.ok() && r_off.ok()) << c.sql;
-    EXPECT_TRUE(r_on.value().SameBag(r_off.value())) << c.sql;
+    Executor exec(&db);
+    auto result = exec.Execute(plan);
+    ASSERT_TRUE(result.ok()) << c.sql;
+    Relation expected{plan->output_schema(), RowAtATime(plan, rows)};
+    EXPECT_TRUE(result.value().SameBag(expected)) << c.sql;
     if (c.expect_kernel_batches) {
-      EXPECT_GT(on.scan_stats().vectorized_batches, 0u) << c.sql;
+      EXPECT_GT(exec.scan_stats().vectorized_batches, 0u) << c.sql;
     } else {
-      EXPECT_GT(on.scan_stats().scalar_fallback_rows, 0u) << c.sql;
+      EXPECT_GT(exec.scan_stats().scalar_fallback_rows, 0u) << c.sql;
     }
-    EXPECT_EQ(off.scan_stats().vectorized_batches, 0u) << c.sql;
-    EXPECT_EQ(off.scan_stats().scalar_fallback_rows, 0u) << c.sql;
   }
 }
 
-TEST(VectorKernelTest, CaptureSketchIdenticalWithKernelsOnAndOff) {
+TEST(VectorKernelTest, CaptureMatchesHandAnnotatedRows) {
   Database db;
   LoadSalesExample(&db);
   PartitionCatalog catalog;
   ASSERT_TRUE(catalog.Register(SalesPricePartition()).ok());
   PlanPtr plan =
       MustBind(db, "SELECT sid FROM sales WHERE price BETWEEN 1001 AND 1500");
-  auto annotate = [&](const std::string& table, const Tuple& row,
-                      BitVector* out) { catalog.AnnotateRow(table, row, out); };
-  AnnotatedExecutor on(&db, annotate);
-  AnnotatedExecutor off(&db, annotate);
-  off.set_vectorized(false);
-  auto r_on = on.Execute(plan);
-  auto r_off = off.Execute(plan);
-  ASSERT_TRUE(r_on.ok() && r_off.ok());
-  EXPECT_EQ(r_on.value().SketchUnion(), r_off.value().SketchUnion());
-  EXPECT_TRUE(r_on.value().ToRelation().SameBag(r_off.value().ToRelation()));
-  EXPECT_GT(on.scan_stats().vectorized_batches, 0u);
+  AnnotatedExecutor exec(&db, [&](const std::string& table, const Tuple& row,
+                                  BitVector* out) {
+    catalog.AnnotateRow(table, row, out);
+  });
+  auto result = exec.Execute(plan);
+  ASSERT_TRUE(result.ok());
+  // s3 (price 1199) and s5 (1345), both in ρ3 = [1001, 1500].
+  Relation expected{plan->output_schema(), {{Value::Int(3)}, {Value::Int(5)}}};
+  EXPECT_TRUE(result.value().ToRelation().SameBag(expected));
+  EXPECT_EQ(result.value().SketchUnion().SetBits(), std::vector<size_t>{2});
+  EXPECT_GT(exec.scan_stats().vectorized_batches, 0u);
 }
 
-TEST(VectorKernelTest, MaintenanceBitIdenticalWithKernelsOnAndOff) {
-  // Two maintainers over identical databases — kernels on vs off — must
-  // produce identical sketch deltas and identical sketches on every round,
-  // across filters, joins (bloom pruning) and deletes.
-  Database db_on, db_off;
-  LoadFig5Example(&db_on);
-  LoadFig5Example(&db_off);
-  PartitionCatalog cat_on, cat_off;
-  for (PartitionCatalog* cat : {&cat_on, &cat_off}) {
-    ASSERT_TRUE(cat->Register(Fig5PartitionR()).ok());
-    ASSERT_TRUE(cat->Register(Fig5PartitionS()).ok());
-  }
-  MaintainerOptions opt_on, opt_off;
-  opt_off.vectorized_kernels = false;
-  Maintainer m_on(&db_on, &cat_on, MustBind(db_on, kFig5Query), opt_on);
-  Maintainer m_off(&db_off, &cat_off, MustBind(db_off, kFig5Query), opt_off);
-  auto s_on = m_on.Initialize();
-  auto s_off = m_off.Initialize();
-  ASSERT_TRUE(s_on.ok() && s_off.ok());
-  EXPECT_EQ(s_on.value().fragments, s_off.value().fragments);
+TEST(VectorKernelTest, MaintenanceMatchesFreshCaptureAndPlainExecutor) {
+  // One maintainer over the Fig. 5 example under random inserts and
+  // deletes: after every round its sketch equals a fresh capture's, and the
+  // plain executor answers the sketch-filtered plan as it answers the full
+  // one — across filters, joins (bloom pruning) and deletes.
+  Database db;
+  LoadFig5Example(&db);
+  PartitionCatalog catalog;
+  ASSERT_TRUE(catalog.Register(Fig5PartitionR()).ok());
+  ASSERT_TRUE(catalog.Register(Fig5PartitionS()).ok());
+  PlanPtr plan = MustBind(db, kFig5Query);
+  Maintainer maintainer(&db, &catalog, plan);
+  ASSERT_TRUE(maintainer.Initialize().ok());
 
   Rng rng(46);
   for (int round = 0; round < 8; ++round) {
-    // Same random mutations applied to both databases.
     std::vector<Tuple> r_rows, s_rows;
     for (int i = 0; i < 5; ++i) {
       r_rows.push_back(Tuple{Value::Int(rng.UniformInt(1, 10)),
@@ -366,118 +394,127 @@ TEST(VectorKernelTest, MaintenanceBitIdenticalWithKernelsOnAndOff) {
       s_rows.push_back(Tuple{Value::Int(rng.UniformInt(1, 15)),
                              Value::Int(rng.UniformInt(1, 10))});
     }
-    int64_t doomed = rng.UniformInt(1, 10);
-    for (Database* db : {&db_on, &db_off}) {
-      ASSERT_TRUE(db->Insert("r", r_rows).ok());
-      ASSERT_TRUE(db->Insert("s", s_rows).ok());
-      if (round % 3 == 2) {
-        ASSERT_TRUE(db->Delete("r", [&](const Tuple& row) {
-                        return row[0] == Value::Int(doomed);
-                      }).ok());
-      }
+    ASSERT_TRUE(db.Insert("r", r_rows).ok());
+    ASSERT_TRUE(db.Insert("s", s_rows).ok());
+    if (round % 3 == 2) {
+      int64_t doomed = rng.UniformInt(1, 10);
+      ASSERT_TRUE(db.Delete("r", [&](const Tuple& row) {
+                      return row[0] == Value::Int(doomed);
+                    }).ok());
     }
-    auto d_on = m_on.MaintainFromBackend();
-    auto d_off = m_off.MaintainFromBackend();
-    ASSERT_TRUE(d_on.ok() && d_off.ok()) << "round " << round;
-    EXPECT_EQ(d_on.value().added, d_off.value().added) << "round " << round;
-    EXPECT_EQ(d_on.value().removed, d_off.value().removed)
+    ASSERT_TRUE(maintainer.MaintainFromBackend().ok()) << "round " << round;
+    Maintainer fresh(&db, &catalog, plan);
+    auto captured = fresh.Initialize();
+    ASSERT_TRUE(captured.ok()) << "round " << round;
+    EXPECT_EQ(maintainer.sketch().fragments.SetBits(),
+              captured.value().fragments.SetBits())
         << "round " << round;
-    EXPECT_EQ(m_on.sketch().fragments, m_off.sketch().fragments)
-        << "round " << round;
+    Executor exec(&db);
+    auto full = exec.Execute(plan);
+    auto filtered =
+        exec.Execute(ApplyUseRewrite(plan, catalog, maintainer.sketch()));
+    ASSERT_TRUE(full.ok() && filtered.ok()) << "round " << round;
+    EXPECT_TRUE(full.value().SameBag(filtered.value())) << "round " << round;
   }
-  // The vectorized maintainer actually used the kernels; the scalar one
-  // never did.
-  EXPECT_GT(m_on.stats().vectorized_batches, 0u);
-  EXPECT_EQ(m_off.stats().vectorized_batches, 0u);
+  EXPECT_GT(maintainer.stats().vectorized_batches, 0u);
 }
 
-// ---- Typed-vs-boxed twin suite ----------------------------------------------
+// ---- Column storage oracle --------------------------------------------------
 //
-// The same rows stored under the typed ColumnVector layout and the legacy
-// boxed layout must give bit-for-bit identical selection bitmaps for every
-// predicate shape, chunk by chunk — including dictionary and flat strings,
-// NULL-heavy columns, and a column that fell back to boxed storage after a
-// type conflict.
+// One layout, checked against the Values appended to it: every column type
+// — NULL-heavy ints, doubles with NaN and ±0.0, dictionary strings, strings
+// with more than 256 distinct values (forcing the dictionary-to-flat
+// switch) and an all-NULL column — must read back, min/max, gather, hash
+// and filter exactly as the appended Values do.
 
-// Columns: ti int, td double (integral + fractional), ds dict string
-// (12 distinct), fs flat string (overflows the 256-entry dictionary),
-// nh NULL-heavy int, mx mixed types (forces the boxed fallback).
-Schema TypedTwinSchema() {
+// Columns: ti int, td double (NaN, ±0.0, integral, fractional), ds dict
+// string (12 distinct), fs flat string (~4000 distinct), nh NULL-heavy int,
+// zn all-NULL int.
+Schema StorageOracleSchema() {
   Schema s;
   s.AddColumn("ti", ValueType::kInt);
   s.AddColumn("td", ValueType::kDouble);
   s.AddColumn("ds", ValueType::kString);
   s.AddColumn("fs", ValueType::kString);
   s.AddColumn("nh", ValueType::kInt);
-  s.AddColumn("mx", ValueType::kInt);
+  s.AddColumn("zn", ValueType::kInt);
   return s;
 }
 
-Value TypedTwinCell(Rng* rng, size_t col) {
-  if (col != 5 && rng->Chance(col == 4 ? 0.5 : 0.1)) return Value::Null();
+Value StorageOracleCell(Rng* rng, size_t col) {
+  if (col == 5 || rng->Chance(col == 4 ? 0.5 : 0.1)) return Value::Null();
   switch (col) {
     case 0:
       return Value::Int(rng->UniformInt(-100, 100));
     case 1:
-      return rng->Chance(0.5)
-                 ? Value::Double(static_cast<double>(rng->UniformInt(-40, 40)))
-                 : Value::Double(rng->UniformDouble(-40.0, 40.0));
+      switch (rng->UniformInt(0, 9)) {
+        case 0:
+          return Value::Double(std::numeric_limits<double>::quiet_NaN());
+        case 1:
+          return Value::Double(0.0);
+        case 2:
+          return Value::Double(-0.0);
+        case 3:
+        case 4:
+          return Value::Double(static_cast<double>(rng->UniformInt(-40, 40)));
+        default:
+          return Value::Double(rng->UniformDouble(-40.0, 40.0));
+      }
     case 2:
       return Value::String("d" + std::to_string(rng->UniformInt(0, 11)));
     case 3:
       return Value::String("f" + std::to_string(rng->UniformInt(0, 4000)));
-    case 4:
-      return Value::Int(rng->UniformInt(0, 20));
     default:
-      switch (rng->UniformInt(0, 2)) {
-        case 0:
-          return Value::Int(rng->UniformInt(0, 5));
-        case 1:
-          return Value::Double(rng->UniformInt(0, 5) + 0.5);
-        default:
-          return Value::String("m" + std::to_string(rng->UniformInt(0, 5)));
-      }
+      return Value::Int(rng->UniformInt(0, 20));
   }
 }
 
-std::vector<Tuple> TypedTwinRows(Rng* rng, size_t n) {
+std::vector<Tuple> StorageOracleRows(Rng* rng, size_t n) {
   std::vector<Tuple> rows;
   rows.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     Tuple row;
-    for (size_t c = 0; c < 6; ++c) row.push_back(TypedTwinCell(rng, c));
+    for (size_t c = 0; c < 6; ++c) row.push_back(StorageOracleCell(rng, c));
     rows.push_back(std::move(row));
   }
   return rows;
 }
 
-ExprPtr TypedTwinPredicate(Rng* rng, int depth) {
+const char* kOracleNames[] = {"ti", "td", "ds", "fs", "nh", "zn"};
+const ValueType kOracleTypes[] = {ValueType::kInt,    ValueType::kDouble,
+                                  ValueType::kString, ValueType::kString,
+                                  ValueType::kInt,    ValueType::kInt};
+
+ExprPtr StorageOraclePredicate(Rng* rng, int depth) {
   if (depth > 0 && rng->Chance(0.55)) {
     switch (rng->UniformInt(0, 2)) {
       case 0:
-        return MakeBinary(BinaryOp::kAnd, TypedTwinPredicate(rng, depth - 1),
-                          TypedTwinPredicate(rng, depth - 1));
+        return MakeBinary(BinaryOp::kAnd,
+                          StorageOraclePredicate(rng, depth - 1),
+                          StorageOraclePredicate(rng, depth - 1));
       case 1:
-        return MakeBinary(BinaryOp::kOr, TypedTwinPredicate(rng, depth - 1),
-                          TypedTwinPredicate(rng, depth - 1));
+        return MakeBinary(BinaryOp::kOr,
+                          StorageOraclePredicate(rng, depth - 1),
+                          StorageOraclePredicate(rng, depth - 1));
       default:
-        return MakeUnary(UnaryOp::kNot, TypedTwinPredicate(rng, depth - 1));
+        return MakeUnary(UnaryOp::kNot,
+                         StorageOraclePredicate(rng, depth - 1));
     }
   }
-  static const char* kNames[] = {"ti", "td", "ds", "fs", "nh", "mx"};
-  static const ValueType kTypes[] = {ValueType::kInt,    ValueType::kDouble,
-                                     ValueType::kString, ValueType::kString,
-                                     ValueType::kInt,    ValueType::kInt};
   size_t col = static_cast<size_t>(rng->UniformInt(0, 5));
-  auto ref = [&] { return MakeColumnRef(col, kNames[col], kTypes[col]); };
+  auto ref = [&] {
+    return MakeColumnRef(col, kOracleNames[col], kOracleTypes[col]);
+  };
   // 20% of literals come from a DIFFERENT column's domain, so cross-type-
-  // class comparisons (string lit on an int column, numeric lit on a string
-  // column, int-vs-double promotion) are exercised on every encoding.
+  // class comparisons (string literal on an int column, numeric literal on
+  // a string column, int-vs-double promotion) run on every encoding.
   auto lit = [&] {
     size_t lit_col =
-        rng->Chance(0.2) ? static_cast<size_t>(rng->UniformInt(0, 5)) : col;
-    if (rng->Chance(0.05)) return MakeLiteral(Value::Null());
-    return MakeLiteral(TypedTwinCell(rng, lit_col));
+        rng->Chance(0.2) ? static_cast<size_t>(rng->UniformInt(0, 4)) : col;
+    if (lit_col == 5 || rng->Chance(0.05)) return MakeLiteral(Value::Null());
+    Value v;
+    while (v.is_null()) v = StorageOracleCell(rng, lit_col);
+    return MakeLiteral(std::move(v));
   };
   switch (rng->UniformInt(0, 3)) {
     case 0:
@@ -486,245 +523,152 @@ ExprPtr TypedTwinPredicate(Rng* rng, int depth) {
       return MakeBinary(RandomCmp(rng), lit(), ref());
     case 2:
       return MakeBetween(ref(), lit(), lit());
-    default:  // col cmp col — scalar remainder over typed gathers
+    default:  // col cmp col — the scalar remainder over gathered rows
       return MakeBinary(RandomCmp(rng), ref(),
                         MakeColumnRef(0, "ti", ValueType::kInt));
   }
 }
 
-TEST(TypedColumnTwinTest, SelectionBitmapsIdenticalAcrossLayouts) {
+/// Exact equality down to a double's bits (NaN and -0.0 included).
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (!a.is_double()) return a.Compare(b) == 0;
+  double x = a.AsDouble(), y = b.AsDouble();
+  return std::memcmp(&x, &y, sizeof(x)) == 0;
+}
+
+TEST(ColumnStorageOracleTest, EveryTypeMatchesAppendedValues) {
   Rng rng(47);
-  DatabaseOptions boxed_opts;
-  boxed_opts.typed_columns = false;
-  Database db_typed;
-  Database db_boxed(boxed_opts);
-  for (Database* db : {&db_typed, &db_boxed}) {
-    ASSERT_TRUE(db->CreateTable("t", TypedTwinSchema()).ok());
+  DataChunk chunk(StorageOracleSchema());
+  std::vector<Tuple> rows = StorageOracleRows(&rng, 3000);
+  for (const Tuple& row : rows) chunk.AppendRow(row);
+  const ColumnVector::Encoding kExpected[] = {
+      ColumnVector::Encoding::kInt64,      ColumnVector::Encoding::kDouble,
+      ColumnVector::Encoding::kDictString, ColumnVector::Encoding::kFlatString,
+      ColumnVector::Encoding::kInt64,      ColumnVector::Encoding::kInt64};
+
+  constexpr uint64_t kSeed = 0x2545f4914f6cdd1dULL;
+  for (size_t c = 0; c < 6; ++c) {
+    const ColumnVector& cv = chunk.column(c);
+    EXPECT_EQ(cv.encoding(), kExpected[c]) << "col " << c;
+    std::vector<uint64_t> hashes(rows.size(), kSeed);
+    cv.AppendKeyHashes(rows.size(), &hashes);
+    // Oracle min/max: Value::Compare folded in append order.
+    Value min, max;
+    bool any = false;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const Value& v = rows[r][c];
+      ASSERT_TRUE(SameValue(cv.GetValue(r), v)) << "col " << c << " row " << r;
+      ASSERT_EQ(cv.IsNull(r), v.is_null()) << "col " << c << " row " << r;
+      ASSERT_EQ(hashes[r], HashCombine(kSeed, v.Hash()))
+          << "col " << c << " row " << r;
+      if (v.is_null()) continue;
+      if (!any) {
+        min = max = v;
+        any = true;
+      }
+      if (v.Compare(min) < 0) min = v;
+      if (max.Compare(v) < 0) max = v;
+    }
+    Value got_min, got_max;
+    ASSERT_EQ(cv.MinMax(&got_min, &got_max), any) << "col " << c;
+    if (any) {
+      EXPECT_TRUE(SameValue(got_min, min)) << "col " << c;
+      EXPECT_TRUE(SameValue(got_max, max)) << "col " << c;
+    }
   }
-  std::vector<Tuple> rows = TypedTwinRows(&rng, 9000);
-  ASSERT_TRUE(db_typed.BulkLoad("t", rows).ok());
-  ASSERT_TRUE(db_boxed.BulkLoad("t", rows).ok());
-  // A few appends on top so the COW tail chunk is covered too.
-  std::vector<Tuple> extra = TypedTwinRows(&rng, 123);
-  ASSERT_TRUE(db_typed.Insert("t", extra).ok());
-  ASSERT_TRUE(db_boxed.Insert("t", extra).ok());
 
-  auto snap_typed = db_typed.GetTable("t")->Snapshot();
-  auto snap_boxed = db_boxed.GetTable("t")->Snapshot();
-  ASSERT_EQ(snap_typed->num_rows(), snap_boxed->num_rows());
-  ASSERT_EQ(snap_typed->chunks().size(), snap_boxed->chunks().size());
+  BitVector sel(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (rng.Chance(0.3)) sel.Set(r);
+  }
+  std::vector<Tuple> gathered = chunk.GatherRows(sel);
+  ASSERT_EQ(gathered.size(), sel.Count());
+  size_t k = 0;
+  sel.ForEachSetBit([&](size_t r) {
+    for (size_t c = 0; c < 6; ++c) {
+      EXPECT_TRUE(SameValue(gathered[k][c], rows[r][c]))
+          << "row " << r << " col " << c;
+    }
+    ++k;
+  });
 
-  // The layouts actually diverge under the hood: typed chunks engaged, the
-  // mixed column reboxed, the wide string column overflowed the dictionary.
-  Database::TypedColumnStats tstats = db_typed.AggregateTypedColumnStats();
-  EXPECT_GT(tstats.typed_chunks, 0u);
-  EXPECT_GT(tstats.boxed_fallback_cells, 0u);
-  EXPECT_EQ(db_boxed.AggregateTypedColumnStats().typed_chunks, 0u);
-  const DataChunk& first = *snap_typed->chunks()[0];
-  EXPECT_EQ(first.column(0).encoding(), ColumnVector::Encoding::kInt64);
-  EXPECT_EQ(first.column(1).encoding(), ColumnVector::Encoding::kDouble);
-  EXPECT_EQ(first.column(2).encoding(), ColumnVector::Encoding::kDictString);
-  EXPECT_EQ(first.column(3).encoding(), ColumnVector::Encoding::kFlatString);
-  EXPECT_TRUE(first.column(5).fell_back());
-
-  for (int trial = 0; trial < 50; ++trial) {
-    ExprPtr expr = TypedTwinPredicate(&rng, 3);
+  for (int trial = 0; trial < 60; ++trial) {
+    ExprPtr expr = StorageOraclePredicate(&rng, 3);
     PredicateKernel kernel = PredicateKernel::Compile(expr);
-    for (size_t ci = 0; ci < snap_typed->chunks().size(); ++ci) {
-      const DataChunk& ct = *snap_typed->chunks()[ci];
-      const DataChunk& cb = *snap_boxed->chunks()[ci];
-      ASSERT_EQ(ct.num_rows(), cb.num_rows());
-      BitVector sel_typed, sel_boxed;
-      kernel.Eval(RowBlock::FromChunk(ct), &sel_typed, nullptr, nullptr);
-      kernel.Eval(RowBlock::FromChunk(cb), &sel_boxed, nullptr, nullptr);
-      for (size_t r = 0; r < ct.num_rows(); ++r) {
-        ASSERT_EQ(sel_typed.Test(r), sel_boxed.Test(r))
-            << "trial " << trial << " chunk " << ci << " row " << r << " expr "
-            << expr->ToString();
-        ASSERT_EQ(sel_typed.Test(r), ScalarBit(expr, ct.GetRow(r)))
-            << "trial " << trial << " chunk " << ci << " row " << r << " expr "
-            << expr->ToString();
-      }
+    BitVector out;
+    kernel.Eval(RowBlock::FromChunk(chunk), &out, nullptr, nullptr);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      ASSERT_EQ(out.Test(r), ScalarBit(expr, rows[r]))
+          << "trial " << trial << " row " << r << " expr " << expr->ToString();
     }
   }
 }
 
-TEST(TypedColumnTwinTest, ExecutorIdenticalAcrossLayouts) {
-  Rng rng(48);
-  DatabaseOptions boxed_opts;
-  boxed_opts.typed_columns = false;
-  Database db_typed;
-  Database db_boxed(boxed_opts);
-  for (Database* db : {&db_typed, &db_boxed}) {
-    ASSERT_TRUE(db->CreateTable("t", TypedTwinSchema()).ok());
-  }
-  std::vector<Tuple> rows = TypedTwinRows(&rng, 6000);
-  ASSERT_TRUE(db_typed.BulkLoad("t", rows).ok());
-  ASSERT_TRUE(db_boxed.BulkLoad("t", rows).ok());
-  const char* queries[] = {
-      "SELECT * FROM t WHERE ti BETWEEN -20 AND 60",
-      "SELECT ti, td FROM t WHERE td > 0.0 AND nh <= 10",
-      "SELECT * FROM t WHERE ds = 'd3' OR ds = 'd7'",
-      "SELECT * FROM t WHERE fs < 'f2000' AND ti >= 0",
-      "SELECT * FROM t WHERE ti < nh",
-  };
-  for (const char* sql : queries) {
-    Executor ex_typed(&db_typed);
-    Executor ex_boxed(&db_boxed);
-    auto r_typed = ex_typed.Execute(MustBind(db_typed, sql));
-    auto r_boxed = ex_boxed.Execute(MustBind(db_boxed, sql));
-    ASSERT_TRUE(r_typed.ok() && r_boxed.ok()) << sql;
-    EXPECT_TRUE(r_typed.value().SameBag(r_boxed.value())) << sql;
-  }
-}
-
-TEST(TypedColumnTwinTest, MaintenanceIdenticalAcrossLayouts) {
-  // Twin maintainers over a typed and a boxed database — with the typed
-  // operator kernelizations toggled to match — must produce identical
-  // sketch deltas and sketches on every round. This is the end-to-end gate
-  // the BENCH_PR10 smoke also enforces.
-  DatabaseOptions boxed_opts;
-  boxed_opts.typed_columns = false;
-  Database db_typed;
-  Database db_boxed(boxed_opts);
-  LoadFig5Example(&db_typed);
-  LoadFig5Example(&db_boxed);
-  PartitionCatalog cat_typed, cat_boxed;
-  for (PartitionCatalog* cat : {&cat_typed, &cat_boxed}) {
-    ASSERT_TRUE(cat->Register(Fig5PartitionR()).ok());
-    ASSERT_TRUE(cat->Register(Fig5PartitionS()).ok());
-  }
-  MaintainerOptions opt_typed, opt_boxed;
-  opt_boxed.typed_columns = false;
-  Maintainer m_typed(&db_typed, &cat_typed, MustBind(db_typed, kFig5Query),
-                     opt_typed);
-  Maintainer m_boxed(&db_boxed, &cat_boxed, MustBind(db_boxed, kFig5Query),
-                     opt_boxed);
-  auto s_typed = m_typed.Initialize();
-  auto s_boxed = m_boxed.Initialize();
-  ASSERT_TRUE(s_typed.ok() && s_boxed.ok());
-  EXPECT_EQ(s_typed.value().fragments, s_boxed.value().fragments);
-
-  Rng rng(49);
-  for (int round = 0; round < 8; ++round) {
-    std::vector<Tuple> r_rows, s_rows;
-    for (int i = 0; i < 5; ++i) {
-      r_rows.push_back(Tuple{Value::Int(rng.UniformInt(1, 10)),
-                             Value::Int(rng.UniformInt(1, 10))});
-      s_rows.push_back(Tuple{Value::Int(rng.UniformInt(1, 15)),
-                             Value::Int(rng.UniformInt(1, 10))});
-    }
-    int64_t doomed = rng.UniformInt(1, 10);
-    for (Database* db : {&db_typed, &db_boxed}) {
-      ASSERT_TRUE(db->Insert("r", r_rows).ok());
-      ASSERT_TRUE(db->Insert("s", s_rows).ok());
-      if (round % 3 == 2) {
-        ASSERT_TRUE(db->Delete("r", [&](const Tuple& row) {
-                        return row[0] == Value::Int(doomed);
-                      }).ok());
-      }
-    }
-    auto d_typed = m_typed.MaintainFromBackend();
-    auto d_boxed = m_boxed.MaintainFromBackend();
-    ASSERT_TRUE(d_typed.ok() && d_boxed.ok()) << "round " << round;
-    EXPECT_EQ(d_typed.value().added, d_boxed.value().added)
-        << "round " << round;
-    EXPECT_EQ(d_typed.value().removed, d_boxed.value().removed)
-        << "round " << round;
-    EXPECT_EQ(m_typed.sketch().fragments, m_boxed.sketch().fragments)
-        << "round " << round;
-  }
-  EXPECT_GT(db_typed.AggregateTypedColumnStats().typed_chunks, 0u);
-}
-
-TEST(TypedColumnTwinTest, ColumnarAggregateBuildMatchesRowPath) {
-  // The kernelized IncAggregate bypasses row materialization entirely when
-  // its child is a filterless vectorized scan (TryBuildColumnar). Every
-  // layout x path combination must produce identical (row, sketch) outputs
-  // and group counts — across an int group key with NULLs (raw-int64 side
-  // map mixed with the tuple path), a dict-string key, and no GROUP BY.
+TEST(ColumnStorageOracleTest, ColumnarAggregateBuildMatchesAnnotatedExecutor) {
+  // IncAggregate::Build aggregates straight off the chunk columns when its
+  // child is a filterless scan (TryBuildColumnar). The row-at-a-time
+  // AnnotatedExecutor over the same plan is its oracle — across an int
+  // group key with NULLs (raw-int64 side map mixed with the tuple path), a
+  // dictionary-string key, and no GROUP BY.
   Rng rng(71);
-  DatabaseOptions boxed_opts;
-  boxed_opts.typed_columns = false;
-  Database db_typed;
-  Database db_boxed(boxed_opts);
-  for (Database* db : {&db_typed, &db_boxed}) {
-    ASSERT_TRUE(db->CreateTable("t", TypedTwinSchema()).ok());
-  }
-  std::vector<Tuple> rows = TypedTwinRows(&rng, 6000);
-  ASSERT_TRUE(db_typed.BulkLoad("t", rows).ok());
-  ASSERT_TRUE(db_boxed.BulkLoad("t", rows).ok());
-  std::vector<Tuple> extra = TypedTwinRows(&rng, 77);
-  ASSERT_TRUE(db_typed.Insert("t", extra).ok());
-  ASSERT_TRUE(db_boxed.Insert("t", extra).ok());
-
-  // Partition on the NULL-heavy int column: NULL rows must land in fragment
-  // 0 through both the raw-bounds fast path and Value-typed FragmentOf.
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", StorageOracleSchema()).ok());
+  ASSERT_TRUE(db.BulkLoad("t", StorageOracleRows(&rng, 6000)).ok());
+  ASSERT_TRUE(db.Insert("t", StorageOracleRows(&rng, 77)).ok());
+  const Schema& schema = db.GetTable("t")->schema();
   PartitionCatalog catalog;
   ASSERT_TRUE(
-      catalog.Register(RangePartition::EquiWidthInt("t", "nh", 4, 0, 20, 8))
+      catalog.Register(RangePartition::EquiWidthInt("t", "ti", 0, -100, 100, 8))
           .ok());
 
   auto signature = [](const AnnotatedRelation& rel) {
-    std::vector<std::pair<Tuple, BitVector>> out;
-    out.reserve(rel.rows.size());
-    for (const AnnotatedRow& ar : rel.rows) out.emplace_back(ar.row, ar.sketch);
+    std::vector<std::pair<Tuple, std::vector<size_t>>> out;
+    for (const AnnotatedRow& ar : rel.rows) {
+      out.emplace_back(ar.row, ar.sketch.SetBits());
+    }
     std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
       return TupleLess()(a.first, b.first);
     });
     return out;
   };
-
-  static const char* kNames[] = {"ti", "td", "ds", "fs", "nh", "mx"};
-  static const ValueType kTypes[] = {ValueType::kInt,    ValueType::kDouble,
-                                     ValueType::kString, ValueType::kString,
-                                     ValueType::kInt,    ValueType::kInt};
-  MaintainStats stats;
-  auto run = [&](Database* db, bool kernelized, int group_col) {
-    auto scan = std::make_unique<IncScan>("t", nullptr, db, &catalog,
-                                          db->GetTable("t")->schema(), &stats,
-                                          /*vectorized=*/true);
-    std::vector<ExprPtr> groups;
-    Schema out;
-    if (group_col >= 0) {
-      groups.push_back(MakeColumnRef(static_cast<size_t>(group_col),
-                                     kNames[group_col], kTypes[group_col]));
-      out.AddColumn(kNames[group_col], kTypes[group_col]);
-    }
-    std::vector<AggSpec> aggs = {
-        {AggFunc::kSum, MakeColumnRef(1, "td", ValueType::kDouble), "sum_td"},
-        {AggFunc::kSum, MakeColumnRef(0, "ti", ValueType::kInt), "sum_ti"},
-        {AggFunc::kCount, nullptr, "cnt"},
-        {AggFunc::kCount, MakeColumnRef(3, "fs", ValueType::kString), "cnt_fs"},
-        {AggFunc::kMin, MakeColumnRef(0, "ti", ValueType::kInt), "min_ti"},
-        {AggFunc::kMax, MakeColumnRef(1, "td", ValueType::kDouble), "max_td"}};
-    for (const AggSpec& a : aggs) out.AddColumn(a.name, a.OutputType());
-    IncAggregate::Options aopts;
-    aopts.kernelized = kernelized;
-    IncAggregate agg(std::move(scan), std::move(groups), aggs, out, aopts,
-                     &stats);
-    Result<AnnotatedRelation> r = agg.Build(DeltaContext{});
-    EXPECT_TRUE(r.ok());
-    return std::make_pair(signature(r.value()), agg.NumGroups());
-  };
+  std::vector<AggSpec> aggs = {
+      {AggFunc::kSum, MakeColumnRef(1, "td", ValueType::kDouble), "sum_td"},
+      {AggFunc::kSum, MakeColumnRef(0, "ti", ValueType::kInt), "sum_ti"},
+      {AggFunc::kCount, nullptr, "cnt"},
+      {AggFunc::kCount, MakeColumnRef(3, "fs", ValueType::kString), "cnt_fs"},
+      {AggFunc::kMin, MakeColumnRef(0, "ti", ValueType::kInt), "min_ti"},
+      {AggFunc::kMax, MakeColumnRef(1, "td", ValueType::kDouble), "max_td"}};
 
   for (int gc : {4, 2, -1}) {
-    auto base = run(&db_boxed, /*kernelized=*/false, gc);
-    EXPECT_GT(base.first.size(), 0u) << "group col " << gc;
-    for (bool typed : {false, true}) {
-      for (bool kernelized : {false, true}) {
-        if (!typed && !kernelized) continue;  // that's the baseline
-        auto got = run(typed ? &db_typed : &db_boxed, kernelized, gc);
-        EXPECT_EQ(base.second, got.second)
-            << "group col " << gc << " typed " << typed << " kernelized "
-            << kernelized;
-        EXPECT_TRUE(base.first == got.first)
-            << "group col " << gc << " typed " << typed << " kernelized "
-            << kernelized;
-      }
+    std::vector<ExprPtr> groups;
+    std::vector<std::string> names;
+    if (gc >= 0) {
+      groups.push_back(
+          MakeColumnRef(static_cast<size_t>(gc), kOracleNames[gc],
+                        kOracleTypes[gc]));
+      names.push_back(kOracleNames[gc]);
     }
+    PlanPtr plan = MakeAggregate(MakeScan("t", schema), groups, names, aggs);
+    MaintainStats stats;
+    IncAggregate agg(std::make_unique<IncScan>("t", nullptr, &db, &catalog,
+                                               schema, &stats),
+                     groups, aggs, plan->output_schema(),
+                     IncAggregate::Options{}, &stats);
+    Result<AnnotatedRelation> built = agg.Build(DeltaContext{});
+    ASSERT_TRUE(built.ok()) << "group col " << gc;
+    AnnotatedExecutor exec(&db, [&](const std::string& table, const Tuple& row,
+                                    BitVector* out) {
+      catalog.AnnotateRow(table, row, out);
+    });
+    Result<AnnotatedRelation> expected = exec.Execute(plan);
+    ASSERT_TRUE(expected.ok()) << "group col " << gc;
+    EXPECT_GT(expected.value().rows.size(), 0u) << "group col " << gc;
+    EXPECT_EQ(agg.NumGroups(), expected.value().rows.size())
+        << "group col " << gc;
+    EXPECT_TRUE(signature(built.value()) == signature(expected.value()))
+        << "group col " << gc;
   }
-  EXPECT_GT(db_typed.AggregateTypedColumnStats().typed_chunks, 0u);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ Tuple Row(int64_t k, int64_t v) { return Tuple{Value::Int(k), Value::Int(v)}; }
 // ---- Zone map bookkeeping ----------------------------------------------------
 
 TEST(ZoneMapTest, MinMaxTrackedPerColumn) {
-  DataChunk chunk(2);
+  DataChunk chunk(TwoColSchema());
   EXPECT_FALSE(chunk.zone(0).valid);
   chunk.AppendRow(Row(5, 100));
   chunk.AppendRow(Row(2, 300));
@@ -39,7 +39,9 @@ TEST(ZoneMapTest, MinMaxTrackedPerColumn) {
 }
 
 TEST(ZoneMapTest, NullsIgnored) {
-  DataChunk chunk(1);
+  Schema schema;
+  schema.AddColumn("k", ValueType::kInt);
+  DataChunk chunk(schema);
   chunk.AppendRow({Value::Null()});
   EXPECT_FALSE(chunk.zone(0).valid);
   chunk.AppendRow({Value::Int(7)});
@@ -52,7 +54,7 @@ TEST(ZoneMapTest, NullsIgnored) {
 class ZoneFilterTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    chunk_ = std::make_unique<DataChunk>(2);
+    chunk_ = std::make_unique<DataChunk>(TwoColSchema());
     // k in [10, 20], v in [100, 200].
     for (int64_t i = 10; i <= 20; ++i) chunk_->AppendRow(Row(i, i * 10));
   }
@@ -397,7 +399,7 @@ TEST(RangeIndexTest, ExtractColumnRangesShapes) {
 }
 
 TEST(RangeIndexTest, ChunkMayMatchRangesRefinesWithSortedShard) {
-  DataChunk chunk(2);
+  DataChunk chunk(TwoColSchema());
   for (int64_t i = 10; i <= 20; i += 2) chunk.AppendRow(Row(i, i));  // evens
   ColumnRanges gap;
   gap.col = 0;
