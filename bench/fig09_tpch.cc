@@ -58,10 +58,7 @@ void InsertDelta(TpchEnv* env, size_t n) {
 }
 
 void DeleteDelta(TpchEnv* env, size_t n) {
-  IMP_CHECK(env->db
-                .Delete("lineitem",
-                        [](const Tuple&) { return true; }, n)
-                .ok());
+  IMP_CHECK(DeleteWhere(&env->db, "lineitem", /*where=*/nullptr, n).ok());
 }
 
 void RunScale(const char* label, double sf) {

@@ -40,8 +40,7 @@ void InsertDelta(CrimesEnv* env, size_t n) {
 }
 
 void DeleteDelta(CrimesEnv* env, size_t n) {
-  IMP_CHECK(
-      env->db.Delete("crimes", [](const Tuple&) { return true; }, n).ok());
+  IMP_CHECK(DeleteWhere(&env->db, "crimes", /*where=*/nullptr, n).ok());
 }
 
 }  // namespace

@@ -37,24 +37,23 @@ struct Env {
                   .ok());
   }
 
+  /// DELETE FROM t WHERE `where`, at most `limit` rows.
+  void Delete(const std::string& where, size_t limit = SIZE_MAX) {
+    auto bound = Binder(&db).BindSql("DELETE FROM t WHERE " + where);
+    IMP_CHECK(bound.ok());
+    IMP_CHECK(DeleteWhere(&db, "t", bound.value().update.where, limit).ok());
+  }
+
   void DeleteMinimalGroups() {
     int64_t lo = next_min_group;
     next_min_group += 2;
-    IMP_CHECK(db.Delete("t", [lo](const Tuple& row) {
-                  int64_t a = row[1].AsInt();
-                  return a >= lo && a < lo + 2;
-                }).ok());
+    Delete("a >= " + std::to_string(lo) + " AND a < " + std::to_string(lo + 2));
   }
 
   void DeleteRandom(size_t n) {
     int64_t group = rng.UniformInt(next_min_group,
                                    static_cast<int64_t>(kGroups) - 1);
-    IMP_CHECK(db.Delete("t",
-                        [group](const Tuple& row) {
-                          return row[1].AsInt() >= group;
-                        },
-                        n)
-                  .ok());
+    Delete("a >= " + std::to_string(group), n);
   }
 };
 

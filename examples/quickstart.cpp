@@ -7,7 +7,12 @@
 //      and the query is answered through it,
 //   4. insert s8 (which makes the sketch stale),
 //   5. run Q_top again — IMP incrementally maintains the sketch and the
-//      new HP group appears in the answer.
+//      new HP group appears in the answer,
+//   6. delete s8 again — HP's revenue falls back to 4895 and the group
+//      leaves the answer.
+//
+// Every answer is compared with the expected one it prints; the program
+// exits 1 when one differs.
 
 #include <cstdio>
 
@@ -17,7 +22,9 @@ using namespace imp;
 
 namespace {
 
-void PrintRelation(const char* title, const Relation& rel) {
+/// Print `rel` under `title` and compare it, as a bag, with `expected`.
+bool CheckAnswer(const char* title, const Relation& rel,
+                 std::vector<Tuple> expected) {
   std::printf("%s\n", title);
   for (size_t c = 0; c < rel.schema.size(); ++c) {
     std::printf("  %-12s", rel.schema.column(c).name.c_str());
@@ -27,6 +34,15 @@ void PrintRelation(const char* title, const Relation& rel) {
     for (const Value& v : row) std::printf("  %-12s", v.ToString().c_str());
     std::printf("\n");
   }
+  Relation want;
+  want.rows = std::move(expected);
+  if (rel.SameBag(want)) return true;
+  std::fprintf(stderr, "unexpected answer for: %s\n", title);
+  return false;
+}
+
+Tuple Revenue(const char* brand, int64_t rev) {
+  return {Value::String(brand), Value::Int(rev)};
 }
 
 }  // namespace
@@ -81,10 +97,11 @@ int main() {
       "FROM sales GROUP BY brand HAVING sum(price * numSold) > 5000";
 
   // 3. First run: captures the sketch P = {ρ3, ρ4} and answers through it.
+  bool ok = true;
   auto result = imp.Query(q_top);
   IMP_CHECK(result.ok());
-  PrintRelation("\nQ_top before the update (expected: Apple 5074):",
-                result.value());
+  ok &= CheckAnswer("\nQ_top before the update (expected: Apple 5074):",
+                    result.value(), {Revenue("Apple", 5074)});
   auto entries = imp.sketches().AllEntries();
   std::printf("\ncaptured sketch: %s (fragments of the global id space)\n",
               entries[0]->sketch.ToString().c_str());
@@ -99,14 +116,24 @@ int main() {
   //    and the query now returns HP as well.
   result = imp.Query(q_top);
   IMP_CHECK(result.ok());
-  PrintRelation("\nQ_top after the update (expected: Apple 5074, HP 6194):",
-                result.value());
+  ok &= CheckAnswer("\nQ_top after the update (expected: Apple 5074, HP 6194):",
+                    result.value(),
+                    {Revenue("Apple", 5074), Revenue("HP", 6194)});
   std::printf("\nmaintained sketch: %s\n",
               entries[0]->sketch.ToString().c_str());
+
+  // 6. Delete s8 again: the deletion is a negative delta, so maintenance
+  //    drops HP's revenue back to 4895, below the threshold.
+  IMP_CHECK(imp.Update("DELETE FROM sales WHERE sid = 8").ok());
+  std::printf("\ndeleted s8\n");
+  result = imp.Query(q_top);
+  IMP_CHECK(result.ok());
+  ok &= CheckAnswer("\nQ_top after the delete (expected: Apple 5074):",
+                    result.value(), {Revenue("Apple", 5074)});
   std::printf(
       "\nstats: %zu capture(s), %zu incremental maintenance run(s), "
       "%zu sketch use(s)\n",
       imp.stats().sketch_captures, imp.stats().maintenances,
       imp.stats().sketch_uses);
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "exec/executor.h"
 #include "imp/maintainer.h"
 #include "sql/binder.h"
 #include "workload/synthetic.h"
@@ -54,9 +55,11 @@ int main() {
     IMP_CHECK(db.Insert("scores", rows).ok());
     if (round % 3 == 0) {
       int64_t player = rng.UniformInt(0, 1999);
-      IMP_CHECK(db.Delete("scores", [player](const Tuple& row) {
-                    return row[1] == Value::Int(player);
-                  }).ok());
+      auto wipe = binder.BindSql("DELETE FROM scores WHERE a = " +
+                                 std::to_string(player));
+      IMP_CHECK(wipe.ok());
+      IMP_CHECK(
+          DeleteWhere(&db, "scores", wipe.value().update.where).ok());
     }
     IMP_CHECK(exact.MaintainFromBackend().ok());
     IMP_CHECK(buffered.MaintainFromBackend().ok());

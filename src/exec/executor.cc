@@ -8,6 +8,17 @@
 
 namespace imp {
 
+namespace {
+/// False when the zone map proves that no row of `chunk` passes `filter`;
+/// `ranges` (the filter reduced to one column's ranges, when it reduces)
+/// sharpen the test with an ordered shard the chunk already carries.
+bool ChunkMayPass(const Expr& filter, const std::optional<ColumnRanges>& ranges,
+                  const DataChunk& chunk) {
+  return ranges ? ChunkMayMatchRanges(*ranges, chunk)
+                : ChunkMayMatch(filter, chunk);
+}
+}  // namespace
+
 std::string Relation::ToString() const {
   std::vector<std::string> lines;
   lines.reserve(rows.size());
@@ -165,8 +176,7 @@ Result<Relation> Executor::ExecScan(const ScanNode& node) const {
   }
   out.rows.reserve(snap->num_rows());
   for (const auto& chunk : snap->chunks()) {
-    if (filter && !(ranges ? ChunkMayMatchRanges(*ranges, *chunk)
-                           : ChunkMayMatch(*filter, *chunk))) {
+    if (filter && !ChunkMayPass(*filter, ranges, *chunk)) {
       ++scan_stats_.chunks_skipped;  // zone map pruned the whole chunk
       continue;
     }
@@ -189,6 +199,63 @@ Result<Relation> Executor::ExecScan(const ScanNode& node) const {
     for (Tuple& row : gathered) out.rows.push_back(std::move(row));
   }
   return out;
+}
+
+std::vector<BitVector> SelectRows(const Table& table, const ExprPtr& where,
+                                  size_t limit) {
+  const std::vector<std::shared_ptr<DataChunk>>& chunks = table.chunks();
+  std::vector<BitVector> selection(chunks.size());
+  std::optional<ColumnRanges> ranges;
+  PredicateKernel kernel;
+  if (where) {
+    ranges = ExtractColumnRanges(*where);
+    kernel = PredicateKernel::Compile(where);
+  }
+  size_t taken = 0;
+  for (size_t i = 0; i < chunks.size() && taken < limit; ++i) {
+    const DataChunk& chunk = *chunks[i];
+    BitVector& sel = selection[i];
+    if (!where) {
+      sel = BitVector(chunk.num_rows());
+      sel.SetAll();
+    } else if (ChunkMayPass(*where, ranges, chunk)) {
+      kernel.Eval(RowBlock::FromChunk(chunk), &sel, nullptr, nullptr);
+    } else {
+      continue;  // zone map: no row of this chunk can match
+    }
+    size_t n = sel.Count();
+    if (n > limit - taken) {
+      // The limit falls inside this chunk: keep its first matches only.
+      size_t keep = limit - taken;
+      BitVector first(sel.num_bits());
+      sel.ForEachSetBit([&](size_t r) {
+        if (keep > 0) {
+          first.Set(r);
+          --keep;
+        }
+      });
+      sel = std::move(first);
+      n = limit - taken;
+    }
+    taken += n;
+  }
+  return selection;
+}
+
+Result<uint64_t> DeleteWhere(Database* db, const std::string& table,
+                             const ExprPtr& where, size_t limit) {
+  const Table* t = db->GetTable(table);
+  if (t == nullptr) return Status::NotFound("no such table: " + table);
+  // As Database::Insert: allocate, select, erase and publish under one
+  // hold of the stripe, and publish even on failure so the allocated
+  // version cannot stall the stable watermark.
+  auto session = db->WriteSession(table);
+  uint64_t v = db->AllocateVersion();
+  Status staged =
+      db->StageDelete(table, SelectRows(*t, where, limit), v).status();
+  db->PublishVersion(table, v);
+  IMP_RETURN_NOT_OK(staged);
+  return v;
 }
 
 Result<Relation> Executor::ExecSelect(const SelectNode& node) const {

@@ -107,6 +107,23 @@ class Executor {
   mutable ScanStats scan_stats_;
 };
 
+/// The rows of `table`'s writer state a DELETE or UPDATE with WHERE
+/// `where` (null: every row) removes, picked chunk by chunk the way a scan
+/// picks them: zone maps skip the chunks no row of which can match, and
+/// the compiled predicate kernel selects rows in the rest. One bitmap per
+/// chunk of table.chunks() — no bit set for a chunk that loses nothing —
+/// holding at most `limit` rows, the first in scan order. The caller holds
+/// the table's write stripe and hands the result, under the same hold, to
+/// Database::StageDelete.
+std::vector<BitVector> SelectRows(const Table& table, const ExprPtr& where,
+                                  size_t limit = SIZE_MAX);
+
+/// DELETE FROM `table` [WHERE `where`] as one synchronous statement: under
+/// the table's write stripe, allocate a version, erase the rows SelectRows
+/// picks (at most `limit`) and publish. Returns the statement's version.
+Result<uint64_t> DeleteWhere(Database* db, const std::string& table,
+                             const ExprPtr& where, size_t limit = SIZE_MAX);
+
 /// Comparator over tuples induced by ORDER BY sort specs.
 struct SortSpecLess {
   const std::vector<SortSpec>* sorts;

@@ -22,12 +22,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Row predicate of an update's WHERE clause (everything when absent).
-std::function<bool(const Tuple&)> WherePredicate(const BoundUpdate& update) {
-  return update.where ? ExprPredicate(update.where)
-                      : [](const Tuple&) { return true; };
-}
-
 /// Partition attributes are NOT NULL: a range predicate cannot admit NULL
 /// without losing zone skipping, so a NULL partition value would drop out
 /// of every sketch-filtered answer. `col` indexes the attribute (SIZE_MAX:
@@ -54,30 +48,26 @@ Status CheckPartitionNotNull(const TableSnapshot& snap, size_t col) {
   return Status::OK();
 }
 
-/// The modified rows of an UPDATE statement (UPDATE = DELETE matching rows
-/// + INSERT these), evaluated against the current table state and checked
-/// like an INSERT's rows (ConformRows, NOT NULL `partition_col`) before the
-/// caller stages the delete half, so a rejected UPDATE changes nothing.
-/// Shared by the synchronous apply path and the ingestion worker so the
-/// two can never diverge.
+/// The modified rows of an UPDATE statement (UPDATE = DELETE the rows
+/// `selection` picks + INSERT these): each picked row of the table's
+/// current state with the SET expressions applied, checked like an
+/// INSERT's rows (ConformRows, NOT NULL `partition_col`) before the caller
+/// stages the delete half, so a rejected UPDATE changes nothing. Shared by
+/// the synchronous apply path and the ingestion worker so the two can
+/// never diverge.
 Result<std::vector<Tuple>> ComputeUpdatedRows(
-    const Database& db, const BoundUpdate& update,
-    const std::function<bool(const Tuple&)>& pred, size_t partition_col) {
-  const Table* table = db.GetTable(update.table);
-  if (table == nullptr) {
-    return Status::NotFound("no such table: " + update.table);
-  }
+    const Table& table, const BoundUpdate& update,
+    const std::vector<BitVector>& selection, size_t partition_col) {
   std::vector<Tuple> modified;
-  table->ForEachRow([&](const Tuple& row) {
-    if (!pred(row)) return;
-    Tuple next = row;
-    for (const auto& [col, expr] : update.sets) {
-      next[col] = expr->Eval(row);
+  for (size_t i = 0; i < selection.size(); ++i) {
+    for (Tuple& row : table.chunks()[i]->GatherRows(selection[i])) {
+      Tuple next = row;
+      for (const auto& [col, expr] : update.sets) next[col] = expr->Eval(row);
+      modified.push_back(std::move(next));
     }
-    modified.push_back(std::move(next));
-  });
+  }
   std::vector<Tuple> widened;
-  IMP_RETURN_NOT_OK(ConformRows(table->schema(), modified, &widened));
+  IMP_RETURN_NOT_OK(ConformRows(table.schema(), modified, &widened));
   if (!widened.empty()) modified = std::move(widened);
   IMP_RETURN_NOT_OK(CheckPartitionNotNull(modified, partition_col));
   return modified;
@@ -671,29 +661,31 @@ size_t ImpSystem::PartitionColumn(const std::string& table) {
 Result<uint64_t> ImpSystem::ApplySyncBound(const BoundUpdate& update) {
   switch (update.kind) {
     case BoundUpdate::Kind::kInsert:
-      // Insert/Delete take the table's write stripe internally; readers
+      // Insert/DeleteWhere take the table's write stripe internally; readers
       // proceed on the published snapshots throughout.
       return db_->Insert(update.table, update.rows);
     case BoundUpdate::Kind::kDelete:
-      return db_->Delete(update.table, WherePredicate(update));
+      return DeleteWhere(db_, update.table, update.where);
     case BoundUpdate::Kind::kUpdate: {
       // UPDATE = DELETE matching rows + INSERT the modified rows, computed
       // and applied under ONE hold of the table's stripe so no other
       // writer can slip between the halves (the old global write session's
-      // guarantee, now scoped to the one table).
-      if (!db_->HasTable(update.table)) {
+      // guarantee, now scoped to the one table). One selection serves
+      // both: it names the rows to rewrite and the rows to erase.
+      const Table* table = db_->GetTable(update.table);
+      if (table == nullptr) {
         return Status::NotFound("no such table: " + update.table);
       }
-      auto pred = WherePredicate(update);
       const size_t partition_col = PartitionColumn(update.table);
       auto session = db_->WriteSession(update.table);
+      std::vector<BitVector> selection = SelectRows(*table, update.where);
       IMP_ASSIGN_OR_RETURN(
           std::vector<Tuple> modified,
-          ComputeUpdatedRows(*db_, update, pred, partition_col));
+          ComputeUpdatedRows(*table, update, selection, partition_col));
       uint64_t delete_version = db_->AllocateVersion();
       uint64_t insert_version = db_->AllocateVersion();
       Status deleted =
-          db_->StageDelete(update.table, pred, delete_version).status();
+          db_->StageDelete(update.table, selection, delete_version).status();
       Status inserted =
           deleted.ok()
               ? db_->StageInsert(update.table, modified, insert_version)
@@ -813,7 +805,8 @@ Status ImpSystem::StageIngestTask(const IngestTask& task,
   // safe to retry (*staged_any stays false).
   IMP_FAILPOINT(kFpIngestApply);
   const BoundUpdate& update = task.update;
-  if (!db_->HasTable(update.table)) {
+  const Table* table = db_->GetTable(update.table);
+  if (table == nullptr) {
     // The versions are still retired at the end of the batch cycle so the
     // watermark cannot stall behind the failed statement.
     return Status::NotFound("no such table: " + update.table);
@@ -833,20 +826,22 @@ Status ImpSystem::StageIngestTask(const IngestTask& task,
       return db_->StageInsert(update.table, update.rows, task.version);
     case BoundUpdate::Kind::kDelete:
       *staged_any = true;
-      return db_->StageDelete(update.table, WherePredicate(update),
-                              task.version)
+      return db_
+          ->StageDelete(update.table, SelectRows(*table, update.where),
+                        task.version)
           .status();
     case BoundUpdate::Kind::kUpdate: {
-      auto pred = WherePredicate(update);
-      // Computed against the worker's current applied state (all earlier
+      // Selected against the worker's current applied state (all earlier
       // tickets staged), under the stripe — identical to the synchronous
       // path's view of the table.
+      std::vector<BitVector> selection = SelectRows(*table, update.where);
       IMP_ASSIGN_OR_RETURN(
           std::vector<Tuple> modified,
-          ComputeUpdatedRows(*db_, update, pred, partition_col));
+          ComputeUpdatedRows(*table, update, selection, partition_col));
       *staged_any = true;
       IMP_RETURN_NOT_OK(
-          db_->StageDelete(update.table, pred, task.delete_version).status());
+          db_->StageDelete(update.table, selection, task.delete_version)
+              .status());
       return db_->StageInsert(update.table, modified, task.version);
     }
   }

@@ -54,32 +54,14 @@ void ColumnVector::Append(const Value& v) {
              (encoding_ >= Encoding::kDictString && v.is_string()));
   nulls_.Resize(size_ + 1);
   switch (encoding_) {
-    case Encoding::kInt64: {
-      int64_t a = v.AsInt();
-      ints_.push_back(a);
-      if (!stats_valid_) {
-        imin_ = imax_ = a;
-        stats_valid_ = true;
-      } else {
-        if (a < imin_) imin_ = a;
-        if (imax_ < a) imax_ = a;
-      }
+    case Encoding::kInt64:
+      ints_.push_back(v.AsInt());
+      UpdateIntStats(v.AsInt());
       break;
-    }
-    case Encoding::kDouble: {
-      double a = v.AsDouble();
-      doubles_.push_back(a);
-      if (!stats_valid_) {
-        dmin_ = dmax_ = a;
-        stats_valid_ = true;
-      } else {
-        // Strict < keeps the first of Compare-equal values (incl. NaN,
-        // which Value::Compare treats as equal to everything).
-        if (a < dmin_) dmin_ = a;
-        if (dmax_ < a) dmax_ = a;
-      }
+    case Encoding::kDouble:
+      doubles_.push_back(v.AsDouble());
+      UpdateDoubleStats(v.AsDouble());
       break;
-    }
     case Encoding::kDictString: {
       const std::string& s = v.AsString();
       auto it = dict_lookup_.find(s);
@@ -114,7 +96,29 @@ void ColumnVector::Append(const Value& v) {
   ++size_;
 }
 
-void ColumnVector::UpdateStringStats(const std::string& s) {
+void ColumnVector::UpdateIntStats(int64_t a) {
+  if (!stats_valid_) {
+    imin_ = imax_ = a;
+    stats_valid_ = true;
+  } else {
+    if (a < imin_) imin_ = a;
+    if (imax_ < a) imax_ = a;
+  }
+}
+
+void ColumnVector::UpdateDoubleStats(double a) {
+  if (!stats_valid_) {
+    dmin_ = dmax_ = a;
+    stats_valid_ = true;
+  } else {
+    // Strict < keeps the first of Compare-equal values (incl. NaN, which
+    // Value::Compare treats as equal to everything).
+    if (a < dmin_) dmin_ = a;
+    if (dmax_ < a) dmax_ = a;
+  }
+}
+
+void ColumnVector::UpdateStringStats(std::string_view s) {
   if (!stats_valid_) {
     smin_ = smax_ = s;
     stats_valid_ = true;
@@ -204,6 +208,75 @@ void ColumnVector::Gather(const std::vector<uint32_t>& rows, size_t col,
       }
       break;
   }
+}
+
+ColumnVector ColumnVector::CopyRows(const std::vector<uint32_t>& rows) const {
+  const size_t n = rows.size();
+  ColumnVector out(encoding_ == Encoding::kInt64    ? ValueType::kInt
+                   : encoding_ == Encoding::kDouble ? ValueType::kDouble
+                                                    : ValueType::kString);
+  out.size_ = n;
+  out.nulls_ = BitVector(n);
+  // Whether copied cell k is NULL; carries the bit into `out`.
+  auto null_copied = [&](size_t k) {
+    if (!has_nulls_ || !nulls_.Test(rows[k])) return false;
+    out.nulls_.Set(k);
+    out.has_nulls_ = true;
+    return true;
+  };
+  // NULL slots copy the source's 0 / 0.0 / empty-span payload.
+  switch (encoding_) {
+    case Encoding::kInt64:
+      out.ints_.resize(n);
+      for (size_t k = 0; k < n; ++k) {
+        out.ints_[k] = ints_[rows[k]];
+        if (!null_copied(k)) out.UpdateIntStats(out.ints_[k]);
+      }
+      break;
+    case Encoding::kDouble:
+      out.doubles_.resize(n);
+      for (size_t k = 0; k < n; ++k) {
+        out.doubles_[k] = doubles_[rows[k]];
+        if (!null_copied(k)) out.UpdateDoubleStats(out.doubles_[k]);
+      }
+      break;
+    case Encoding::kDictString: {
+      constexpr uint32_t kUnused = UINT32_MAX;
+      std::vector<uint32_t> remap(dict_size(), kUnused);
+      out.codes_.resize(n);
+      for (size_t k = 0; k < n; ++k) {
+        if (null_copied(k)) continue;  // code 0, as AppendNullSlot leaves it
+        uint32_t& code = remap[codes_[rows[k]]];
+        if (code == kUnused) {
+          // First use: the distinct value enters the new dictionary (and
+          // the zone accumulators, which only see distinct strings anyway).
+          std::string_view s = DictString(codes_[rows[k]]);
+          code = static_cast<uint32_t>(out.dict_size());
+          out.arena_.append(s);
+          out.dict_offsets_.push_back(static_cast<uint32_t>(out.arena_.size()));
+          out.dict_lookup_.emplace(std::string(s), code);
+          out.UpdateStringStats(s);
+        }
+        out.codes_[k] = code;
+      }
+      break;
+    }
+    case Encoding::kFlatString:
+      out.encoding_ = Encoding::kFlatString;
+      out.dict_offsets_.clear();
+      out.flat_offsets_.reserve(n + 1);
+      out.flat_offsets_.push_back(0);
+      for (size_t k = 0; k < n; ++k) {
+        if (!null_copied(k)) {
+          std::string_view s = StringAt(rows[k]);
+          out.arena_.append(s);
+          out.UpdateStringStats(s);
+        }
+        out.flat_offsets_.push_back(static_cast<uint32_t>(out.arena_.size()));
+      }
+      break;
+  }
+  return out;
 }
 
 void ColumnVector::AppendKeyHashes(size_t num_rows,

@@ -93,6 +93,13 @@ class ColumnVector {
   void Gather(const std::vector<uint32_t>& rows, size_t col,
               std::vector<Tuple>* out) const;
 
+  /// A new column holding the cells at `rows` (ascending), copied unboxed:
+  /// payload, null bitmap and zone accumulators are rebuilt in one pass,
+  /// exactly as appending those cells in order would build them. A
+  /// dictionary keeps only the codes the rows use, renumbered in
+  /// first-use order; a flat string column stays flat.
+  ColumnVector CopyRows(const std::vector<uint32_t>& rows) const;
+
   /// Join-key extraction kernel: fold this column's first `num_rows` cell
   /// hashes into the running per-row key hashes, `(*inout)[i] =
   /// HashCombine((*inout)[i], Hash(cell_i))` — bit-identical to folding
@@ -108,7 +115,9 @@ class ColumnVector {
  private:
   void ConvertDictToFlat();
   void AppendNullSlot();
-  void UpdateStringStats(const std::string& s);
+  void UpdateIntStats(int64_t a);
+  void UpdateDoubleStats(double a);
+  void UpdateStringStats(std::string_view s);
 
   Encoding encoding_ = Encoding::kInt64;  ///< set from the type by the ctor
   size_t size_ = 0;

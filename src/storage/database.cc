@@ -107,17 +107,16 @@ Status Database::StageInsert(const std::string& table,
   return Status::OK();
 }
 
-Result<size_t> Database::StageDelete(
-    const std::string& table, const std::function<bool(const Tuple&)>& pred,
-    uint64_t version, size_t limit) {
+Result<size_t> Database::StageDelete(const std::string& table,
+                                     const std::vector<BitVector>& selection,
+                                     uint64_t version) {
   Table* t = GetMutableTable(table);
   if (t == nullptr) return Status::NotFound("no such table: " + table);
-  std::vector<Tuple> removed = t->DeleteWhereLimit(pred, limit);
-  size_t count = removed.size();
+  std::vector<Tuple> removed = t->EraseRows(selection);
   for (Tuple& row : removed) {
     t->AppendDelta(DeltaRecord{std::move(row), /*mult=*/-1, version});
   }
-  return count;
+  return removed.size();
 }
 
 Status Database::PublishTable(std::string_view table) {
@@ -174,18 +173,6 @@ Result<uint64_t> Database::Insert(const std::string& table,
   Status staged = StageInsert(table, rows, v);
   // Publish even on failure: an allocated version that never publishes
   // would stall the stable watermark forever.
-  PublishVersion(table, v);
-  IMP_RETURN_NOT_OK(staged);
-  return v;
-}
-
-Result<uint64_t> Database::Delete(
-    const std::string& table, const std::function<bool(const Tuple&)>& pred,
-    size_t limit) {
-  if (!HasTable(table)) return Status::NotFound("no such table: " + table);
-  auto session = WriteSession(table);
-  uint64_t v = AllocateVersion();
-  Status staged = StageDelete(table, pred, v, limit).status();
   PublishVersion(table, v);
   IMP_RETURN_NOT_OK(staged);
   return v;

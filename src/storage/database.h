@@ -13,8 +13,8 @@
 // every predecessor is fully published — is the watermark maintenance
 // rounds cut at; CurrentVersion() is the highest allocated version and may
 // run ahead of the watermark while asynchronous ingestion is in flight.
-// On the synchronous Insert/Delete path the three steps happen under the
-// caller, so the two counters always coincide there.
+// On the synchronous Insert path (and exec's DeleteWhere) the three steps
+// happen under the caller, so the two counters always coincide there.
 //
 // Concurrency — the lock-free read path (no global session lock exists):
 //
@@ -27,7 +27,7 @@
 //     reclaimed epoch-style when the last pin drops; a writer never waits
 //     for or observes readers.
 //   * WRITERS STRIPE PER TABLE. Every mutation of a table — the sync
-//     Insert/Delete path, the ingestion worker's staged applies, snapshot
+//     Insert/DELETE paths, the ingestion worker's staged applies, snapshot
 //     publication — runs under that table's write stripe
 //     (WriteSession(table)); writers to different tables never contend.
 //     Publication order inside PublishVersion — deltas, then the table
@@ -90,12 +90,6 @@ class Database {
   Result<uint64_t> Insert(const std::string& table,
                           const std::vector<Tuple>& rows);
 
-  /// Delete rows matching `pred` as one statement (at most `limit` rows;
-  /// SIZE_MAX = no limit). Returns the new version.
-  Result<uint64_t> Delete(const std::string& table,
-                          const std::function<bool(const Tuple&)>& pred,
-                          size_t limit = SIZE_MAX);
-
   /// Highest allocated snapshot version (0 before any update). May exceed
   /// StableVersion() while asynchronous ingestion is in flight.
   uint64_t CurrentVersion() const { return clock_.allocated(); }
@@ -128,11 +122,15 @@ class Database {
   Status StageInsert(const std::string& table, const std::vector<Tuple>& rows,
                      uint64_t version);
 
-  /// Apply a delete at a pre-allocated version (at most `limit` rows).
-  /// Returns the number of rows removed. Caller holds the table's stripe.
+  /// Apply a delete at a pre-allocated version: erase the rows
+  /// `selection` picks — one bitmap per chunk of the table's writer state,
+  /// computed under the same stripe hold (exec's SelectRows) — and stage
+  /// them as negative delta records, in scan order. Only the chunks that
+  /// lose rows are rewritten (Table::EraseRows). Returns the number of
+  /// rows removed. Caller holds the table's stripe.
   Result<size_t> StageDelete(const std::string& table,
-                             const std::function<bool(const Tuple&)>& pred,
-                             uint64_t version, size_t limit = SIZE_MAX);
+                             const std::vector<BitVector>& selection,
+                             uint64_t version);
 
   /// Publish `table`'s staged state: make its staged delta records visible
   /// and swap in the next immutable TableSnapshot. Caller holds the
@@ -158,7 +156,7 @@ class Database {
   /// ALWAYS completed when this returns.
   Status PublishTableRetrying(std::string_view table, size_t max_retries);
 
-  /// Retry budget the synchronous Insert/Delete path grants its (forced)
+  /// Retry budget the synchronous write paths grant their (forced)
   /// publication; the asynchronous worker passes its configured budget.
   static constexpr size_t kSyncPublishRetries = 4;
 

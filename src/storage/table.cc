@@ -71,6 +71,21 @@ std::vector<Tuple> DataChunk::GatherRows(const BitVector& sel) const {
   return out;
 }
 
+std::shared_ptr<DataChunk> DataChunk::Without(const BitVector& erased) const {
+  std::vector<uint32_t> keep;
+  keep.reserve(num_rows_);
+  for (size_t r = 0; r < num_rows_; ++r) {
+    if (!erased.Test(r)) keep.push_back(static_cast<uint32_t>(r));
+  }
+  std::vector<ColumnVector> columns;
+  columns.reserve(columns_.size());
+  for (const ColumnVector& col : columns_) {
+    columns.push_back(col.CopyRows(keep));
+  }
+  return std::shared_ptr<DataChunk>(new DataChunk(std::move(columns),
+                                                  keep.size()));
+}
+
 DataChunk::ZoneEntry DataChunk::zone(size_t col) const {
   ZoneEntry z;
   z.valid = columns_[col].MinMax(&z.min, &z.max);
@@ -376,41 +391,27 @@ void Table::AppendRow(const Tuple& row) {
   ++num_rows_;
 }
 
-std::vector<Tuple> Table::DeleteWhere(
-    const std::function<bool(const Tuple&)>& pred) {
-  return DeleteWhereLimit(pred, SIZE_MAX);
-}
-
-std::vector<Tuple> Table::DeleteWhereLimit(
-    const std::function<bool(const Tuple&)>& pred, size_t limit) {
-  std::vector<Tuple> removed;
+std::vector<Tuple> Table::EraseRows(const std::vector<BitVector>& selection) {
+  IMP_CHECK(selection.size() == chunks_.size());
+  std::vector<Tuple> erased;
   std::vector<std::shared_ptr<DataChunk>> kept;
-  size_t kept_rows = 0;
-  for (const auto& chunk : chunks_) {
-    for (size_t r = 0; r < chunk->num_rows(); ++r) {
-      Tuple row = chunk->GetRow(r);
-      if (removed.size() < limit && pred(row)) {
-        removed.push_back(std::move(row));
-        continue;
-      }
-      if (kept.empty() || kept.back()->Full()) {
-        kept.push_back(std::make_shared<DataChunk>(schema_));
-      }
-      kept.back()->AppendRow(row);
-      ++kept_rows;
+  kept.reserve(chunks_.size());
+  for (size_t i = 0; i < chunks_.size(); ++i) {
+    const BitVector& sel = selection[i];
+    IMP_CHECK(sel.num_bits() <= chunks_[i]->num_rows());
+    const size_t n = sel.Count();
+    if (n == 0) {
+      kept.push_back(std::move(chunks_[i]));
+      continue;
     }
+    for (Tuple& row : chunks_[i]->GatherRows(sel)) {
+      erased.push_back(std::move(row));
+    }
+    num_rows_ -= n;
+    if (n < chunks_[i]->num_rows()) kept.push_back(chunks_[i]->Without(sel));
   }
-  // The rebuilt chunks replace the old ones wholesale; snapshots pinned by
-  // concurrent readers keep the old chunks alive until the last pin drops.
   chunks_ = std::move(kept);
-  num_rows_ = kept_rows;
-  return removed;
-}
-
-void Table::ForEachRow(const std::function<void(const Tuple&)>& fn) const {
-  for (const auto& chunk : chunks_) {
-    for (size_t r = 0; r < chunk->num_rows(); ++r) fn(chunk->GetRow(r));
-  }
+  return erased;
 }
 
 std::pair<Value, Value> Table::ColumnMinMax(size_t col) const {

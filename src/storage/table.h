@@ -33,9 +33,12 @@
 //   Writers are serialized per table by the Database's write stripe (one
 //   mutex per table, never taken by readers). Appends copy-on-write the
 //   tail chunk when a published snapshot still shares it, so published
-//   chunk data is physically immutable; deletes rebuild the chunk list off
-//   to the side. PublishSnapshot() then swaps in a fresh snapshot whose
-//   epoch strictly increases — the monotonicity witness tests assert.
+//   chunk data is physically immutable. A DELETE (or an UPDATE's delete
+//   half) replaces only the chunks that lose rows, each by a fresh copy of
+//   its survivors; every other chunk — with its zone map and index shards —
+//   is shared unchanged into the next snapshot. PublishSnapshot() then
+//   swaps in a fresh snapshot whose epoch strictly increases — the
+//   monotonicity witness tests assert.
 #ifndef IMP_STORAGE_TABLE_H_
 #define IMP_STORAGE_TABLE_H_
 
@@ -105,6 +108,11 @@ class DataChunk {
   /// the same order a GetRow-per-set-bit loop would produce).
   std::vector<Tuple> GatherRows(const BitVector& sel) const;
 
+  /// A writer-private copy of the rows `erased` does not select, column by
+  /// column and unboxed (ColumnVector::CopyRows): zone accumulators, null
+  /// bitmaps and dictionaries are rebuilt from the survivors; no shards.
+  std::shared_ptr<DataChunk> Without(const BitVector& erased) const;
+
   const ColumnVector& column(size_t col) const { return columns_[col]; }
 
   /// Zone-map entry of a column: min/max over non-null values; `valid` is
@@ -139,6 +147,9 @@ class DataChunk {
   size_t MemoryBytes() const;
 
  private:
+  DataChunk(std::vector<ColumnVector> columns, size_t num_rows)
+      : columns_(std::move(columns)), num_rows_(num_rows) {}
+
   std::vector<ColumnVector> columns_;
   size_t num_rows_;
   /// Shard cache. Guards the maps only; the shards themselves are
@@ -341,20 +352,14 @@ class Table {
   /// already have passed ConformRows.
   void AppendRow(const Tuple& row);
 
-  /// Remove all rows matching `pred`; returns the removed rows. Rebuilds
-  /// the chunk storage off to the side (delete is rare relative to scans
-  /// in the workloads); pinned snapshots keep the old chunks alive.
-  std::vector<Tuple> DeleteWhere(
-      const std::function<bool(const Tuple&)>& pred);
-
-  /// Remove up to `limit` arbitrary rows matching `pred`.
-  std::vector<Tuple> DeleteWhereLimit(
-      const std::function<bool(const Tuple&)>& pred, size_t limit);
-
-  /// Invoke `fn` on every row of the WRITER's current state — including
-  /// applied-but-unpublished statements (e.g. computing an UPDATE's
-  /// modified rows mid-statement). Readers use Snapshot()->ForEachRow.
-  void ForEachRow(const std::function<void(const Tuple&)>& fn) const;
+  /// Erase the rows `selection` picks: one bitmap per chunk of chunks(), of
+  /// at most that chunk's num_rows() bits (exec's SelectRows computes it
+  /// under the same stripe hold). A chunk with no bit set stays as it is —
+  /// the same pointer, zone map and index shards; a chunk that loses rows
+  /// is replaced by DataChunk::Without, or dropped when none survive.
+  /// Returns the erased rows in scan order (chunk by chunk, ascending),
+  /// the only rows boxed. Pinned snapshots keep the replaced chunks alive.
+  std::vector<Tuple> EraseRows(const std::vector<BitVector>& selection);
 
   /// Writer-side column min/max over the current applied state.
   std::pair<Value, Value> ColumnMinMax(size_t col) const;

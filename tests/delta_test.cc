@@ -202,9 +202,7 @@ TEST(AnnotateDeltaTest, DeletionsKeepNegativeMult) {
   PartitionCatalog catalog;
   ASSERT_TRUE(catalog.Register(SalesPricePartition()).ok());
   uint64_t from = db.CurrentVersion();
-  ASSERT_TRUE(db.Delete("sales", [](const Tuple& row) {
-                  return row[0] == Value::Int(4);
-                }).ok());
+  ASSERT_TRUE(Delete(&db, "sales", "sid = 4").ok());
   AnnotatedDelta annotated = AnnotateTableDelta(
       db.ScanDelta("sales", from, db.CurrentVersion()), catalog);
   ASSERT_EQ(annotated.size(), 1u);

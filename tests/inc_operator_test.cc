@@ -50,12 +50,9 @@ class SingleTableFixture : public ::testing::Test {
     uint64_t from = db_.CurrentVersion();
     if (!inserts.empty()) IMP_CHECK(db_.Insert("t", inserts).ok());
     for (const Tuple& d : deletes) {
-      IMP_CHECK(db_
-                    .Delete("t",
-                            [&](const Tuple& row) {
-                              return TupleEq{}(row, d);
-                            },
-                            1)
+      IMP_CHECK(Delete(&db_, "t",
+                       "g = " + d[0].ToString() + " AND v = " + d[1].ToString(),
+                       1)
                     .ok());
     }
     TableDelta delta = db_.ScanDelta("t", from, db_.CurrentVersion());
@@ -538,9 +535,7 @@ TEST_F(JoinFixture, DeletionProducesNegativeDelta) {
   auto join = NewJoin(/*use_bloom=*/true);
   ASSERT_TRUE(join->Build(DeltaContext{}).ok());
   uint64_t from = db_.CurrentVersion();
-  ASSERT_TRUE(db_.Delete("r", [](const Tuple& row) {
-                  return row[0] == Value::Int(9);
-                }).ok());
+  ASSERT_TRUE(Delete(&db_, "r", "a = 9").ok());
   DeltaContext ctx = MakeDeltaContext(
       {db_.ScanDelta("r", from, db_.CurrentVersion())}, catalog_);
   auto out = ProcessToDelta(*join, ctx);

@@ -53,9 +53,7 @@ TEST_F(Fig5Test, DeletingTheInsertRestoresTheSketch) {
   ASSERT_TRUE(m.Initialize().ok());
   ASSERT_TRUE(db_.Insert("r", {{Value::Int(5), Value::Int(8)}}).ok());
   ASSERT_TRUE(m.MaintainFromBackend().ok());
-  ASSERT_TRUE(db_.Delete("r", [](const Tuple& row) {
-                  return row[0] == Value::Int(5);
-                }).ok());
+  ASSERT_TRUE(Delete(&db_, "r", "a = 5").ok());
   auto delta = m.MaintainFromBackend();
   ASSERT_TRUE(delta.ok());
   EXPECT_EQ(delta.value().removed, (std::vector<size_t>{0, 3}));
@@ -69,9 +67,7 @@ TEST_F(Fig5Test, MaintainedSketchMatchesRecapture) {
   ASSERT_TRUE(db_.Insert("r", {{Value::Int(5), Value::Int(8)},
                                {Value::Int(2), Value::Int(9)}}).ok());
   ASSERT_TRUE(db_.Insert("s", {{Value::Int(3), Value::Int(9)}}).ok());
-  ASSERT_TRUE(db_.Delete("s", [](const Tuple& row) {
-                  return row[0] == Value::Int(6);
-                }).ok());
+  ASSERT_TRUE(Delete(&db_, "s", "c = 6").ok());
   ASSERT_TRUE(m.MaintainFromBackend().ok());
 
   CaptureEngine capture(&db_, &catalog_);
@@ -207,9 +203,7 @@ TEST(RecaptureTest, TopKBufferExhaustionRecapturesTransparently) {
 
   // Delete the 10 smallest rows: the truncated buffer (8) cannot answer,
   // so the maintainer must transparently recapture.
-  ASSERT_TRUE(db.Delete("t", [](const Tuple& row) {
-                  return row[1].AsInt() < 100;
-                }).ok());
+  ASSERT_TRUE(Delete(&db, "t", "v < 100").ok());
   auto delta = m.MaintainFromBackend();
   ASSERT_TRUE(delta.ok());
   EXPECT_GE(m.stats().recaptures, 1u);
@@ -249,9 +243,7 @@ TEST(MaintainerEquivalenceTest, HavingQuerySketchTracksRecapture) {
     }
     ASSERT_TRUE(db.Insert("t", rows).ok());
     int64_t kill_group = rng.UniformInt(0, 39);
-    ASSERT_TRUE(db.Delete("t", [&](const Tuple& row) {
-                    return row[1] == Value::Int(kill_group);
-                  }).ok());
+    ASSERT_TRUE(Delete(&db, "t", "a = " + std::to_string(kill_group)).ok());
 
     ASSERT_TRUE(m.MaintainFromBackend().ok());
     auto accurate = capture.Capture(plan);

@@ -223,7 +223,8 @@ TEST_F(MiddlewareTest, PartitionTableHelperBuildsEquiDepth) {
 
 std::vector<Tuple> SalesRows(const Database& db) {
   std::vector<Tuple> rows;
-  db.GetTable("sales")->ForEachRow([&](const Tuple& r) { rows.push_back(r); });
+  db.GetTable("sales")->Snapshot()->ForEachRow(
+      [&](const Tuple& r) { rows.push_back(r); });
   return rows;
 }
 

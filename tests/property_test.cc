@@ -146,13 +146,8 @@ class MaintenanceProperty : public ::testing::TestWithParam<Scenario> {
     } else {
       int64_t group = rng_->UniformInt(0, kGroups - 1);
       size_t limit = static_cast<size_t>(rng_->UniformInt(1, 20));
-      IMP_CHECK(db_
-                    .Delete(table,
-                            [&](const Tuple& row) {
-                              return row[1] == Value::Int(group);
-                            },
-                            limit)
-                    .ok());
+      IMP_CHECK(
+          Delete(&db_, table, "a = " + std::to_string(group), limit).ok());
     }
   }
 
@@ -243,12 +238,7 @@ TEST_P(BufferProperty, TruncatedMinMaxStaysCorrectUnderDeletions) {
   for (int round = 0; round < 6; ++round) {
     // Delete aggressively to stress the buffer.
     int64_t group = rng.UniformInt(0, 9);
-    ASSERT_TRUE(db.Delete("t",
-                          [&](const Tuple& row) {
-                            return row[1] == Value::Int(group);
-                          },
-                          30)
-                    .ok());
+    ASSERT_TRUE(Delete(&db, "t", "a = " + std::to_string(group), 30).ok());
     ASSERT_TRUE(m.MaintainFromBackend().ok());
     auto accurate = capture.Capture(plan);
     ASSERT_TRUE(accurate.ok());

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <thread>
 
 #include "storage/database.h"
+#include "test_util.h"
 
 namespace imp {
 namespace {
@@ -39,30 +43,178 @@ TEST(TableTest, AppendAcrossChunks) {
   for (size_t i = 0; i < n; ++i) t.AppendRow(Row(static_cast<int64_t>(i), 0));
   EXPECT_EQ(t.NumRows(), n);
   EXPECT_GE(t.chunks().size(), 3u);
+  t.PublishSnapshot();
   size_t seen = 0;
-  t.ForEachRow([&](const Tuple& row) {
+  t.Snapshot()->ForEachRow([&](const Tuple& row) {
     EXPECT_EQ(row[0], Value::Int(static_cast<int64_t>(seen)));
     ++seen;
   });
   EXPECT_EQ(seen, n);
 }
 
-TEST(TableTest, DeleteWhereRebuilds) {
-  Table t("t", TwoColSchema());
-  for (int64_t i = 0; i < 100; ++i) t.AppendRow(Row(i, i % 10));
-  auto removed = t.DeleteWhere(
-      [](const Tuple& row) { return row[1] == Value::Int(3); });
-  EXPECT_EQ(removed.size(), 10u);
-  EXPECT_EQ(t.NumRows(), 90u);
-  t.ForEachRow([](const Tuple& row) { EXPECT_NE(row[1], Value::Int(3)); });
+// ---- DELETE: per-chunk rewrite vs a row-at-a-time oracle -------------------
+
+/// Every column type: INT, NULL-heavy INT, DOUBLE with NaN / ±0.0 / NULL,
+/// a dictionary string column, a string column with more distinct values
+/// per chunk than a dictionary holds (flat), and an all-NULL column.
+Schema AllTypesSchema() {
+  Schema s;
+  s.AddColumn("id", ValueType::kInt);
+  s.AddColumn("i", ValueType::kInt);
+  s.AddColumn("d", ValueType::kDouble);
+  s.AddColumn("s", ValueType::kString);
+  s.AddColumn("f", ValueType::kString);
+  s.AddColumn("n", ValueType::kInt);
+  return s;
 }
 
-TEST(TableTest, DeleteWhereLimit) {
-  Table t("t", TwoColSchema());
-  for (int64_t i = 0; i < 100; ++i) t.AppendRow(Row(i, 1));
-  auto removed = t.DeleteWhereLimit([](const Tuple&) { return true; }, 7);
-  EXPECT_EQ(removed.size(), 7u);
-  EXPECT_EQ(t.NumRows(), 93u);
+Tuple AllTypesRow(int64_t id, std::mt19937_64* rng) {
+  auto pick = [&](uint64_t k) { return static_cast<int64_t>((*rng)() % k); };
+  static const double kSpecial[] = {0.0, -0.0,
+                                    std::numeric_limits<double>::quiet_NaN(),
+                                    1.5, -2.25};
+  Value i = pick(3) == 0 ? Value::Int(pick(100) - 50) : Value::Null();
+  Value d = pick(8) == 0   ? Value::Null()
+            : pick(2) == 0 ? Value::Double(kSpecial[pick(5)])
+                           : Value::Double(static_cast<double>(pick(2000)) / 8 - 125);
+  Value s = pick(10) == 0 ? Value::Null()
+                          : Value::String("k" + std::to_string(pick(20)));
+  Value f = pick(16) == 0 ? Value::Null()
+                          : Value::String("f" + std::to_string(pick(100000)));
+  return {Value::Int(id), i, d, s, f, Value::Null()};
+}
+
+/// Cell identity, stricter than Value::operator== (under which NaN equals
+/// everything and -0.0 equals 0.0): same type and the same bits.
+bool SameCell(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (!a.is_double()) return a.is_null() || a == b;
+  double x = a.AsDouble(), y = b.AsDouble();
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+bool SameRow(const Tuple& a, const Tuple& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t c = 0; c < a.size(); ++c) {
+    if (!SameCell(a[c], b[c])) return false;
+  }
+  return true;
+}
+
+TEST(TableTest, DeleteMatchesRowAtATimeOracle) {
+  // A sequence of DELETEs over one table spanning several chunks, with an
+  // insert before each so appends land in rewritten tails. Before every
+  // statement a row-at-a-time oracle (GetRow + Expr::Eval, survivors
+  // appended into a fresh DataChunk per chunk) predicts the removed rows
+  // and each chunk's survivors; the statement must remove exactly those
+  // rows in scan order, share every chunk that loses nothing, drop every
+  // chunk that loses everything, and leave each rewritten chunk with the
+  // oracle's rows, zone entries and null bitmaps.
+  struct Case {
+    std::string where;  // empty: every row
+    size_t limit;
+  };
+  const std::vector<Case> cases = {
+      {"", 7},                                 // first 7 rows in scan order
+      {"id % 10 = 3", SIZE_MAX},               // all scalar remainder
+      {"id >= 100 AND id < 110", SIZE_MAX},    // a few rows of one chunk
+      {"id < 5000", SIZE_MAX},                 // drops chunk 0, cuts chunk 1
+      {"d = 0.0", SIZE_MAX},                   // ±0.0 (and NaN, per Eval)
+      {"d < 1.0 AND s = 'k3'", SIZE_MAX},
+      {"i > 10 AND id + 0 < 7000", 50},        // conjunct left to the remainder
+      {"s >= 'k5' OR f < 'f5'", SIZE_MAX},
+      {"d BETWEEN -1.0 AND 1.0", 300},
+      {"i < 0", SIZE_MAX},                     // NULL-heavy: NULLs never match
+      {"n = 1", SIZE_MAX},                     // all-NULL: nothing goes
+      {"f > 'f99'", SIZE_MAX},                 // flat strings
+      {"id >= 0", SIZE_MAX},                   // every chunk dropped
+  };
+  std::mt19937_64 rng(20260519);
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", AllTypesSchema()).ok());
+  int64_t next_id = 0;
+  std::vector<Tuple> load;
+  for (size_t r = 0; r < 2 * DataChunk::kDefaultCapacity + 1500; ++r) {
+    load.push_back(AllTypesRow(next_id++, &rng));
+  }
+  ASSERT_TRUE(db.BulkLoad("t", load).ok());
+  const Table* table = db.GetTable("t");
+  Binder binder(&db);
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE("WHERE " + c.where + " limit " + std::to_string(c.limit));
+    std::vector<Tuple> fresh;
+    for (int r = 0; r < 300; ++r) fresh.push_back(AllTypesRow(next_id++, &rng));
+    ASSERT_TRUE(db.Insert("t", fresh).ok());
+    auto bound = binder.BindSql("DELETE FROM t" +
+                                (c.where.empty() ? "" : " WHERE " + c.where));
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    const ExprPtr& where = bound.value().update.where;
+
+    // The oracle, over the writer state the statement will see.
+    std::vector<const DataChunk*> before;
+    std::vector<Tuple> removed;
+    std::vector<DataChunk> survivors;
+    std::vector<bool> lost_rows;
+    for (const auto& chunk : table->chunks()) {
+      before.push_back(chunk.get());
+      survivors.emplace_back(table->schema());
+      lost_rows.push_back(false);
+      for (size_t r = 0; r < chunk->num_rows(); ++r) {
+        Tuple row = chunk->GetRow(r);
+        if (removed.size() < c.limit &&
+            (where == nullptr || where->Eval(row).IsTrue())) {
+          removed.push_back(std::move(row));
+          lost_rows.back() = true;
+        } else {
+          survivors.back().AppendRow(row);
+        }
+      }
+    }
+
+    auto v = DeleteWhere(&db, "t", where, c.limit);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    TableDelta delta = db.ScanDelta("t", v.value() - 1, v.value());
+    ASSERT_EQ(delta.size(), removed.size());
+    for (size_t k = 0; k < removed.size(); ++k) {
+      EXPECT_EQ(delta.records[k].mult, -1);
+      EXPECT_TRUE(SameRow(delta.records[k].row, removed[k]))
+          << "removed row " << k << ": " << TupleToString(delta.records[k].row)
+          << " vs " << TupleToString(removed[k]);
+    }
+
+    const auto& after = table->chunks();
+    size_t j = 0, rows = 0;
+    for (size_t i = 0; i < before.size(); ++i) {
+      const DataChunk& want = survivors[i];
+      if (want.num_rows() == 0) continue;  // emptied: dropped
+      ASSERT_LT(j, after.size());
+      const DataChunk& got = *after[j++];
+      rows += got.num_rows();
+      EXPECT_EQ(&got == before[i], !lost_rows[i]) << "chunk " << i;
+      ASSERT_EQ(got.num_rows(), want.num_rows()) << "chunk " << i;
+      for (size_t r = 0; r < want.num_rows(); ++r) {
+        ASSERT_TRUE(SameRow(got.GetRow(r), want.GetRow(r)))
+            << "chunk " << i << " row " << r;
+      }
+      for (size_t col = 0; col < want.num_columns(); ++col) {
+        DataChunk::ZoneEntry gz = got.zone(col), wz = want.zone(col);
+        EXPECT_EQ(gz.valid, wz.valid) << "chunk " << i << " col " << col;
+        EXPECT_TRUE(SameCell(gz.min, wz.min) && SameCell(gz.max, wz.max))
+            << "chunk " << i << " col " << col << ": [" << gz.min.ToString()
+            << ", " << gz.max.ToString() << "] vs [" << wz.min.ToString()
+            << ", " << wz.max.ToString() << "]";
+        EXPECT_EQ(got.column(col).has_nulls(), want.column(col).has_nulls());
+        EXPECT_EQ(got.column(col).nulls(), want.column(col).nulls())
+            << "chunk " << i << " col " << col;
+      }
+    }
+    EXPECT_EQ(j, after.size());
+    EXPECT_EQ(rows, table->NumRows());
+    EXPECT_EQ(table->Snapshot()->num_rows(), table->NumRows());
+  }
+  EXPECT_EQ(table->NumRows(), 0u);
+  EXPECT_TRUE(table->chunks().empty());
 }
 
 TEST(TableTest, ColumnMinMax) {
@@ -107,8 +259,7 @@ TEST(DatabaseTest, DeleteLogsNegativeDelta) {
   Database db;
   ASSERT_TRUE(db.CreateTable("t", TwoColSchema()).ok());
   ASSERT_TRUE(db.BulkLoad("t", {Row(1, 1), Row(2, 2), Row(3, 3)}).ok());
-  auto v = db.Delete(
-      "t", [](const Tuple& row) { return row[0].AsInt() >= 2; });
+  auto v = Delete(&db, "t", "id >= 2");
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(db.GetTable("t")->NumRows(), 1u);
   const DeltaLog& log = db.GetTable("t")->delta_log();
@@ -178,7 +329,7 @@ TEST(DatabaseTest, DeltaLogTruncation) {
 TEST(DatabaseTest, InsertIntoMissingTableFails) {
   Database db;
   EXPECT_FALSE(db.Insert("nope", {Row(1, 1)}).ok());
-  EXPECT_FALSE(db.Delete("nope", [](const Tuple&) { return true; }).ok());
+  EXPECT_FALSE(DeleteWhere(&db, "nope", nullptr).ok());
 }
 
 // ---- TableSnapshot: immutability, COW sharing, epoch monotonicity ----------
@@ -213,9 +364,7 @@ TEST(TableSnapshotTest, DeleteRebuildsWhilePinnedSnapshotKeepsOldRows) {
   ASSERT_TRUE(db.CreateTable("t", TwoColSchema()).ok());
   ASSERT_TRUE(db.BulkLoad("t", {Row(1, 1), Row(2, 2), Row(3, 3)}).ok());
   auto pinned = db.GetTable("t")->Snapshot();
-  ASSERT_TRUE(db.Delete("t", [](const Tuple& r) {
-                  return r[0].AsInt() >= 2;
-                }).ok());
+  ASSERT_TRUE(Delete(&db, "t", "id >= 2").ok());
   EXPECT_EQ(pinned->num_rows(), 3u);  // epoch-based reclamation: still alive
   EXPECT_EQ(db.GetTable("t")->Snapshot()->num_rows(), 1u);
 }
@@ -228,7 +377,7 @@ TEST(TableSnapshotTest, EpochStrictlyIncreasesPerPublication) {
   uint64_t e1 = db.GetTable("t")->SnapshotEpoch();
   ASSERT_TRUE(db.Insert("t", {Row(2, 2)}).ok());
   uint64_t e2 = db.GetTable("t")->SnapshotEpoch();
-  ASSERT_TRUE(db.Delete("t", [](const Tuple&) { return true; }, 1).ok());
+  ASSERT_TRUE(Delete(&db, "t", "", 1).ok());
   uint64_t e3 = db.GetTable("t")->SnapshotEpoch();
   EXPECT_LT(e0, e1);
   EXPECT_LT(e1, e2);
@@ -521,9 +670,7 @@ TEST(SnapshotIndexTest, RandomizedIndexedVsScanEquivalence) {
       ASSERT_TRUE(db.Insert("t", rows).ok());
     } else if (action < 8) {
       int64_t victim = static_cast<int64_t>(rng() % 64);
-      ASSERT_TRUE(db.Delete("t", [&](const Tuple& row) {
-                      return row[0] == Value::Int(victim);
-                    }).ok());
+      ASSERT_TRUE(Delete(&db, "t", "id = " + std::to_string(victim)).ok());
     }
     auto snap = db.GetTable("t")->Snapshot();
     if (rng() % 3 == 0) pinned.push_back(snap);
@@ -623,7 +770,8 @@ Schema PriceSchema() {
 
 std::vector<Tuple> TableRows(const Database& db, const std::string& table) {
   std::vector<Tuple> rows;
-  db.GetTable(table)->ForEachRow([&](const Tuple& r) { rows.push_back(r); });
+  db.GetTable(table)->Snapshot()->ForEachRow(
+      [&](const Tuple& r) { rows.push_back(r); });
   return rows;
 }
 

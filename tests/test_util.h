@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/executor.h"
 #include "sketch/partition.h"
 #include "sql/binder.h"
 #include "storage/database.h"
@@ -102,6 +103,18 @@ inline PlanPtr MustBind(const Database& db, const std::string& sql) {
   auto plan = binder.BindQuery(sql);
   IMP_CHECK_MSG(plan.ok(), plan.status().ToString().c_str());
   return plan.value();
+}
+
+/// DELETE FROM `table` WHERE `where` (SQL over the table's columns; empty:
+/// every row) as one statement through the bound-predicate path, removing
+/// at most `limit` rows, the first in scan order.
+inline Result<uint64_t> Delete(Database* db, const std::string& table,
+                               const std::string& where,
+                               size_t limit = SIZE_MAX) {
+  auto bound = Binder(db).BindSql("DELETE FROM " + table +
+                                  (where.empty() ? "" : " WHERE " + where));
+  IMP_CHECK_MSG(bound.ok(), bound.status().ToString().c_str());
+  return DeleteWhere(db, table, bound.value().update.where, limit);
 }
 
 }  // namespace imp

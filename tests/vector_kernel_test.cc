@@ -398,9 +398,7 @@ TEST(VectorKernelTest, MaintenanceMatchesFreshCaptureAndPlainExecutor) {
     ASSERT_TRUE(db.Insert("s", s_rows).ok());
     if (round % 3 == 2) {
       int64_t doomed = rng.UniformInt(1, 10);
-      ASSERT_TRUE(db.Delete("r", [&](const Tuple& row) {
-                      return row[0] == Value::Int(doomed);
-                    }).ok());
+      ASSERT_TRUE(Delete(&db, "r", "a = " + std::to_string(doomed)).ok());
     }
     ASSERT_TRUE(maintainer.MaintainFromBackend().ok()) << "round " << round;
     Maintainer fresh(&db, &catalog, plan);

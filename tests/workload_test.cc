@@ -29,7 +29,7 @@ TEST(SyntheticTest, TableShape) {
 
   // `a` stays in [0, num_groups) and all groups are hit.
   std::map<int64_t, size_t> groups;
-  t->ForEachRow([&](const Tuple& row) {
+  t->Snapshot()->ForEachRow([&](const Tuple& row) {
     int64_t a = row[1].AsInt();
     ASSERT_GE(a, 0);
     ASSERT_LT(a, 50);
@@ -57,7 +57,7 @@ TEST(SyntheticTest, ValuesAreNonNegative) {
   spec.num_rows = 2000;
   spec.noise = 500.0;  // large noise would go negative without clamping
   ASSERT_TRUE(CreateSyntheticTable(&db, spec).ok());
-  db.GetTable("t")->ForEachRow([](const Tuple& row) {
+  db.GetTable("t")->Snapshot()->ForEachRow([](const Tuple& row) {
     for (size_t c = 2; c < row.size(); ++c) {
       EXPECT_GE(row[c].AsInt(), 0);
     }

@@ -6,6 +6,7 @@
 
 #include "exec/executor.h"
 #include "exec/zone_filter.h"
+#include "middleware/imp_system.h"
 #include "sketch/capture.h"
 #include "sketch/use_rewrite.h"
 #include "test_util.h"
@@ -228,12 +229,10 @@ TEST(HashIndexTest, IndexCarriedAcrossDelete) {
   ASSERT_TRUE(db.BulkLoad("t", rows).ok());
   ASSERT_EQ(db.GetTable("t")->Snapshot()->IndexProbe(0, Value::Int(3)).size(),
             10u);
-  ASSERT_TRUE(db.Delete("t", [](const Tuple& row) {
-                  return row[0] == Value::Int(3);
-                }).ok());
-  // The delete published a fresh snapshot over rebuilt chunks; index
-  // availability carries forward and the reassembled shards reflect the
-  // post-delete rows.
+  ASSERT_TRUE(Delete(&db, "t", "k = 3").ok());
+  // The delete published a fresh snapshot whose rewritten chunk carries no
+  // shard yet; index availability carries forward and the reassembled
+  // shards reflect the post-delete rows.
   auto t = db.GetTable("t")->Snapshot();
   EXPECT_TRUE(t->HasIndex(0));
   EXPECT_TRUE(t->IndexProbe(0, Value::Int(3)).empty());  // rebuilt, empty
@@ -281,6 +280,79 @@ TEST(ShardCarryForwardTest, AppendRebuildOnlyTouchesTheTail) {
   // region (COW clone or fresh chunk) needs a new one.
   EXPECT_LE(istats.shards_built.load() - built_before, 2u);
   EXPECT_GE(istats.shards_reused.load(), num_chunks - 1);
+}
+
+TEST(ShardCarryForwardTest, DeleteRewritesOnlyTheChunkThatLosesRows) {
+  // A 1-row DELETE on the column the chunks are ordered by: only the chunk
+  // holding the row is rewritten, every other chunk — zone map and cached
+  // shards included — is shared into the next snapshot, so the re-probe
+  // builds at most two shards and reuses the rest. A snapshot pinned
+  // before the DELETE keeps the old rows, and an UPDATE rejected at the
+  // write boundary leaves every chunk pointer as it was.
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", TwoColSchema()).ok());
+  std::vector<Tuple> rows;
+  const int64_t n = static_cast<int64_t>(DataChunk::kDefaultCapacity) * 4;
+  for (int64_t i = 0; i < n; ++i) rows.push_back(Row(i, i % 128));
+  ASSERT_TRUE(db.BulkLoad("t", rows).ok());
+  const Table* table = db.GetTable("t");
+  auto& istats = table->index_stats();
+  auto s1 = table->Snapshot();
+  const size_t num_chunks = s1->chunks().size();
+  ASSERT_GE(num_chunks, 4u);
+  ASSERT_FALSE(s1->IndexProbe(1, Value::Int(7)).empty());
+
+  const int64_t victim = static_cast<int64_t>(DataChunk::kDefaultCapacity) + 17;
+  ASSERT_TRUE(Delete(&db, "t", "k = " + std::to_string(victim)).ok());
+  auto s2 = table->Snapshot();
+  ASSERT_EQ(s2->chunks().size(), num_chunks);
+  size_t changed = 0;
+  for (size_t i = 0; i < num_chunks; ++i) {
+    changed += s1->chunks()[i] != s2->chunks()[i];
+  }
+  EXPECT_EQ(changed, 1u);
+  EXPECT_NE(s1->chunks()[1], s2->chunks()[1]);
+  EXPECT_TRUE(s2->HasIndex(1));  // warm from s1
+  uint64_t built_before = istats.shards_built.load();
+  uint64_t reused_before = istats.shards_reused.load();
+  ASSERT_FALSE(s2->IndexProbe(1, Value::Int(7)).empty());
+  uint64_t built = istats.shards_built.load() - built_before;
+  uint64_t reused = istats.shards_reused.load() - reused_before;
+  EXPECT_LE(built, 2u);
+  EXPECT_EQ(built + reused, num_chunks);
+  EXPECT_EQ(s2->num_rows(), static_cast<size_t>(n) - 1);
+  EXPECT_TRUE(s2->IndexProbe(0, Value::Int(victim)).empty());
+
+  // The pinned predecessor still holds every old row, the victim included.
+  EXPECT_EQ(s1->num_rows(), static_cast<size_t>(n));
+  int64_t expect = 0;
+  s1->ForEachRow([&](const Tuple& row) {
+    EXPECT_EQ(row, Row(expect, expect % 128));
+    ++expect;
+  });
+  EXPECT_EQ(expect, n);
+  EXPECT_EQ(s1->IndexProbe(0, Value::Int(victim)).size(), 1u);
+
+  // k is a partition attribute (NOT NULL): the UPDATE's new rows fail the
+  // write boundary, after its rows were selected but before any erase.
+  ImpSystem system(&db);
+  ASSERT_TRUE(system
+                  .RegisterPartition(RangePartition::EquiWidthInt(
+                      "t", "k", 0, 0, n - 1, 8))
+                  .ok());
+  std::vector<const DataChunk*> held;
+  for (const auto& chunk : table->chunks()) held.push_back(chunk.get());
+  const uint64_t epoch = table->SnapshotEpoch();
+  Result<uint64_t> rejected =
+      system.Update("UPDATE t SET k = NULL WHERE k >= 10 AND k < 20");
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+  ASSERT_EQ(table->chunks().size(), held.size());
+  for (size_t i = 0; i < held.size(); ++i) {
+    EXPECT_EQ(table->chunks()[i].get(), held[i]) << "chunk " << i;
+  }
+  EXPECT_EQ(table->SnapshotEpoch(), epoch);
+  EXPECT_EQ(table->NumRows(), static_cast<size_t>(n) - 1);
 }
 
 TEST(RangeIndexTest, RangeProbeMatchesPredicateSemantics) {
