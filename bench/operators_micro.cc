@@ -5,7 +5,7 @@
 //      typed chunk columns, timed in rows/sec and merged into
 //      BENCH_PR7.json. Correctness is HARD-GATED against test-side
 //      oracles — row-at-a-time Expr::Eval filtering plus per-row
-//      annotation, the row-at-a-time AnnotatedExecutor, folded
+//      annotation, the row-at-a-time Executor::ExecuteAnnotated, folded
 //      Value::Hash — and the compiled kernels must actually run
 //      (vectorized_batches > 0), or the binary exits non-zero.
 //
@@ -29,7 +29,7 @@
 #include "bench_util.h"
 #include "common/bloom_filter.h"
 #include "common/hash.h"
-#include "exec/annotated_executor.h"
+#include "exec/executor.h"
 #include "exec/vector_kernels.h"
 #include "imp/inc_aggregate.h"
 #include "imp/inc_operators.h"
@@ -194,7 +194,8 @@ int RunKernelSmoke() {
 
   // ---- aggregate build (scan + group-by over the full table) ---------------
   // SUM/COUNT group-by straight off the chunk columns (TryBuildColumnar);
-  // the row-at-a-time AnnotatedExecutor over the same plan is the oracle.
+  // the row-at-a-time Executor::ExecuteAnnotated over the same plan is the
+  // oracle.
   std::vector<ExprPtr> groups = {MakeColumnRef(1, "a", ValueType::kInt)};
   std::vector<AggSpec> aggs = {
       {AggFunc::kSum, MakeColumnRef(2, "b", ValueType::kInt), "s"},
@@ -209,10 +210,10 @@ int RunKernelSmoke() {
   };
   Result<AnnotatedRelation> agg_built = build_agg();
   Result<AnnotatedRelation> agg_oracle =
-      AnnotatedExecutor(&db, annotate).Execute(agg_plan);
+      Executor(&db).ExecuteAnnotated(agg_plan, annotate);
   IMP_CHECK(agg_built.ok() && agg_oracle.ok());
   if (SortedRows(agg_built.value()) != SortedRows(agg_oracle.value())) {
-    return Fail("aggregate build differs from the AnnotatedExecutor");
+    return Fail("aggregate build differs from Executor::ExecuteAnnotated");
   }
   const double all_rows = static_cast<double>(db.GetTable("t")->NumRows());
   double t_ag = bench::MedianSeconds([&] { IMP_CHECK(build_agg().ok()); });

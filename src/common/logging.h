@@ -10,6 +10,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+
+namespace imp::logging_internal {
+/// IMP_CHECK_MSG's message as a C string, whether given as one or as a
+/// std::string (a temporary lives until the end of the check's fprintf).
+inline const char* CStr(const char* msg) { return msg; }
+inline const char* CStr(const std::string& msg) { return msg.c_str(); }
+}  // namespace imp::logging_internal
 
 #define IMP_CHECK(cond)                                                      \
   do {                                                                       \
@@ -24,7 +32,7 @@
   do {                                                                       \
     if (!(cond)) {                                                           \
       std::fprintf(stderr, "IMP_CHECK failed: %s (%s) at %s:%d\n", #cond,    \
-                   (msg), __FILE__, __LINE__);                               \
+                   ::imp::logging_internal::CStr(msg), __FILE__, __LINE__);  \
       std::abort();                                                          \
     }                                                                        \
   } while (0)

@@ -1,20 +1,24 @@
 // Bag-semantics plan executor over the backend database.
 //
-// This is the evaluation engine of the simulated DBMS backend: it answers
-// user queries (the NS baseline), runs capture queries for full maintenance
-// (through AnnotatedExecutor), and evaluates the delta joins IMP delegates
-// to the backend (Sec. 7: "ΔR ⋈ S ... are executed by sending ΔR to the
-// database and evaluating the join in the database"). Delegated relations
-// are exposed to plans through name bindings that shadow base tables.
+// This is the one evaluation engine of the simulated DBMS backend. Plain,
+// it answers user queries (the NS baseline and sketch-filtered queries).
+// Annotated, it carries one fragment BitVector per row (Def. 4.3/4.4): that
+// run is sketch capture, the full-maintenance (FM) baseline (Sec. 1: FM
+// "reruns the sketch's capture query"), and the evaluation of the join
+// sides IMP delegates to the backend (Sec. 7: "ΔR ⋈ S ... are executed by
+// sending ΔR to the database and evaluating the join in the database").
+// Each operator is written once over the row type and instantiated for
+// both, so the plain path carries no per-row annotation branch.
 
 #ifndef IMP_EXEC_EXECUTOR_H_
 #define IMP_EXEC_EXECUTOR_H_
 
-#include <map>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "algebra/plan.h"
+#include "common/bitvector.h"
 #include "common/status.h"
 #include "storage/database.h"
 
@@ -31,6 +35,30 @@ struct Relation {
   /// Multiset equality (order-insensitive).
   bool SameBag(const Relation& other) const;
 };
+
+/// One sketch-annotated row ⟨t, P⟩.
+struct AnnotatedRow {
+  Tuple row;
+  BitVector sketch;  // over the global fragment-id space
+};
+
+/// A bag of annotated rows.
+struct AnnotatedRelation {
+  Schema schema;
+  std::vector<AnnotatedRow> rows;
+
+  size_t size() const { return rows.size(); }
+  /// Union of all row sketches (= S(F(Q(𝒟))), the accurate sketch).
+  BitVector SketchUnion() const;
+  /// Drop annotations.
+  Relation ToRelation() const;
+};
+
+/// Annotates a base-table row: appends the row's fragment bit(s) for
+/// `table`'s registered partition into `out` (no-op when the table has no
+/// partition, which models the single-whole-domain-range case of Def. 4.1).
+using RowAnnotator = std::function<void(const std::string& table,
+                                        const Tuple& row, BitVector* out)>;
 
 /// Scan-level counters: chunks skipped via zone maps vs scanned, and which
 /// evaluation path filtered the surviving chunks (see exec/vector_kernels).
@@ -59,9 +87,9 @@ struct ScanStats {
 ///                  rounds) where the build amortizes across calls.
 enum class RangeIndexMode : uint8_t { kOff, kIfAvailable, kBuild };
 
-/// Executes plans against a Database plus optional name-bound relations.
-/// Scans with filters consult each chunk's zone map and skip chunks that
-/// cannot match — the physical mechanism behind PBDS data skipping.
+/// Executes plans against a Database. Scans with filters consult each
+/// chunk's zone map and skip chunks that cannot match — the physical
+/// mechanism behind PBDS data skipping.
 ///
 /// Base tables are read lock-free through immutable TableSnapshots: either
 /// the caller's pinned ReadView (every scan sees one consistent watermark
@@ -73,17 +101,19 @@ class Executor {
   explicit Executor(const Database* db, const ReadView* view = nullptr)
       : db_(db), view_(view) {}
 
-  /// Bind `rel` under `name`: scans of `name` read it instead of the base
-  /// table. Used to ship deltas into backend-evaluated joins.
-  void BindRelation(const std::string& name, const Relation* rel) {
-    bindings_[name] = rel;
-  }
-  void ClearBindings() { bindings_.clear(); }
-
   /// Evaluate the plan and materialize its result.
   Result<Relation> Execute(const PlanPtr& plan) const;
 
-  /// Counters accumulated across Execute calls.
+  /// Evaluate the plan under annotated semantics: each base row a scan
+  /// emits carries the fragment bits `annotator` gives it; projection and
+  /// top-k keep a row's sketch, join unions both sides' (P1 ∪ P2), and
+  /// aggregation and distinct union the sketches of the rows they fold.
+  /// The rows are Execute's, in the same order, and the union of their
+  /// sketches is the accurate sketch S(F(Q(𝒟))) of Sec. 6.1.
+  Result<AnnotatedRelation> ExecuteAnnotated(
+      const PlanPtr& plan, const RowAnnotator& annotator) const;
+
+  /// Counters accumulated across Execute and ExecuteAnnotated calls.
   const ScanStats& scan_stats() const { return scan_stats_; }
 
   /// Range-index policy for scans whose filter is exactly single-column
@@ -92,20 +122,48 @@ class Executor {
   RangeIndexMode range_index_mode() const { return range_index_mode_; }
 
  private:
-  Result<Relation> ExecScan(const ScanNode& node) const;
-  Result<Relation> ExecSelect(const SelectNode& node) const;
-  Result<Relation> ExecProject(const ProjectNode& node) const;
-  Result<Relation> ExecJoin(const JoinNode& node) const;
-  Result<Relation> ExecAggregate(const AggregateNode& node) const;
-  Result<Relation> ExecTopK(const TopKNode& node) const;
-  Result<Relation> ExecDistinct(const DistinctNode& node) const;
+  // One operator each, instantiated for Relation (plain; `annotator` is
+  // null) and AnnotatedRelation.
+  template <typename Rel>
+  Result<Rel> Exec(const PlanPtr& plan, const RowAnnotator* annotator) const;
+  template <typename Rel>
+  Result<Rel> ExecScan(const ScanNode& node,
+                       const RowAnnotator* annotator) const;
+  template <typename Rel>
+  Result<Rel> ExecSelect(const SelectNode& node,
+                         const RowAnnotator* annotator) const;
+  template <typename Rel>
+  Result<Rel> ExecProject(const ProjectNode& node,
+                          const RowAnnotator* annotator) const;
+  template <typename Rel>
+  Result<Rel> ExecJoin(const JoinNode& node,
+                       const RowAnnotator* annotator) const;
+  template <typename Rel>
+  Result<Rel> ExecAggregate(const AggregateNode& node,
+                            const RowAnnotator* annotator) const;
+  template <typename Rel>
+  Result<Rel> ExecTopK(const TopKNode& node,
+                       const RowAnnotator* annotator) const;
+  template <typename Rel>
+  Result<Rel> ExecDistinct(const DistinctNode& node,
+                           const RowAnnotator* annotator) const;
 
   const Database* db_;
   const ReadView* view_;  ///< pinned snapshots; nullptr = latest published
-  std::map<std::string, const Relation*> bindings_;
   RangeIndexMode range_index_mode_ = RangeIndexMode::kIfAvailable;
   mutable ScanStats scan_stats_;
 };
+
+/// The one hash join over materialized bags: `left` ⋈ `right` on the
+/// equi-key pairs `keys` (left column, right column) with an optional
+/// `residual` over the concatenated row, or `left` × `right` when `keys` is
+/// empty. Builds on the right side; rows come out in left-row order, each
+/// left row's matches in right-row order. An annotated output row carries
+/// P1 ∪ P2 (Sec. 5.2.4). Defined for Relation and AnnotatedRelation.
+template <typename Rel>
+Rel HashJoin(const Rel& left, const Rel& right,
+             const std::vector<JoinNode::KeyPair>& keys,
+             const ExprPtr& residual);
 
 /// The rows of `table`'s writer state a DELETE or UPDATE with WHERE
 /// `where` (null: every row) removes, picked chunk by chunk the way a scan
@@ -123,42 +181,6 @@ std::vector<BitVector> SelectRows(const Table& table, const ExprPtr& where,
 /// picks (at most `limit`) and publish. Returns the statement's version.
 Result<uint64_t> DeleteWhere(Database* db, const std::string& table,
                              const ExprPtr& where, size_t limit = SIZE_MAX);
-
-/// Comparator over tuples induced by ORDER BY sort specs.
-struct SortSpecLess {
-  const std::vector<SortSpec>* sorts;
-  bool operator()(const Tuple& a, const Tuple& b) const {
-    for (const SortSpec& s : *sorts) {
-      int c = a[s.column].Compare(b[s.column]);
-      if (c != 0) return s.ascending ? c < 0 : c > 0;
-    }
-    return false;
-  }
-};
-
-/// Aggregation accumulator shared by the full executor, the annotated
-/// (capture) executor and tests. Handles sum/count/avg/min/max with
-/// int/double promotion matching Sec. 5.2.5.
-class AggAccumulator {
- public:
-  explicit AggAccumulator(const AggSpec* spec) : spec_(spec) {}
-
-  /// Fold one input row with multiplicity `mult` (may be negative when the
-  /// caller implements Z-semantics; min/max do not support negatives here).
-  void Add(const Tuple& row, int64_t mult = 1);
-
-  /// Current value of the aggregate (SQL semantics over the folded rows).
-  Value Finish() const;
-
- private:
-  const AggSpec* spec_;
-  int64_t count_ = 0;       // multiplicity-weighted row count
-  int64_t int_sum_ = 0;
-  double dbl_sum_ = 0.0;
-  bool saw_double_ = false;
-  bool has_minmax_ = false;
-  Value minmax_;
-};
 
 }  // namespace imp
 

@@ -62,16 +62,15 @@ uint64_t IncJoin::KeyHash(const Tuple& row, bool left_side) const {
 
 Result<AnnotatedRelation> IncJoin::EvalSide(const PlanPtr& side_plan,
                                             const ReadView* view) {
-  AnnotatedExecutor exec(
-      db_,
-      [this](const std::string& table, const Tuple& row, BitVector* out) {
-        catalog_->AnnotateRow(table, row, out);
-      },
-      view);
+  Executor exec(db_, view);
   // Side evaluations repeat every round over the same tables — let exact
   // range filters build the ordered index once and skip chunks thereafter.
   exec.set_range_index_mode(RangeIndexMode::kBuild);
-  Result<AnnotatedRelation> result = exec.Execute(side_plan);
+  Result<AnnotatedRelation> result = exec.ExecuteAnnotated(
+      side_plan,
+      [this](const std::string& table, const Tuple& row, BitVector* out) {
+        catalog_->AnnotateRow(table, row, out);
+      });
   // Fold the delegated capture's kernel counters into this maintainer.
   stats_->vectorized_batches += exec.scan_stats().vectorized_batches;
   stats_->scalar_fallback_rows += exec.scan_stats().scalar_fallback_rows;
@@ -108,46 +107,8 @@ Result<AnnotatedRelation> IncJoin::Build(const DeltaContext& ctx) {
     }
   }
 
-  // Compute the join output for downstream state building.
-  AnnotatedRelation out;
-  out.schema = Schema::Concat(left.schema, right.schema);
-  AnnotatedDelta tmp;
-  if (keys_.empty()) {
-    for (const AnnotatedRow& l : left.rows) {
-      for (const AnnotatedRow& r : right.rows) {
-        EmitJoined(l.row, l.sketch, r.row, r.sketch, 1, &tmp);
-      }
-    }
-  } else {
-    std::unordered_map<Tuple, std::vector<size_t>, TupleHash, TupleEq> ht;
-    ht.reserve(right.rows.size());
-    for (size_t i = 0; i < right.rows.size(); ++i) {
-      Tuple key;
-      for (const auto& [lc, rc] : keys_) {
-        (void)lc;
-        key.push_back(right.rows[i].row[rc]);
-      }
-      ht[std::move(key)].push_back(i);
-    }
-    for (const AnnotatedRow& l : left.rows) {
-      Tuple key;
-      for (const auto& [lc, rc] : keys_) {
-        (void)rc;
-        key.push_back(l.row[lc]);
-      }
-      auto it = ht.find(key);
-      if (it == ht.end()) continue;
-      for (size_t ri : it->second) {
-        EmitJoined(l.row, l.sketch, right.rows[ri].row, right.rows[ri].sketch,
-                   1, &tmp);
-      }
-    }
-  }
-  out.rows.reserve(tmp.rows.size());
-  for (AnnotatedDeltaRow& r : tmp.rows) {
-    out.rows.push_back(AnnotatedRow{std::move(r.row), std::move(r.sketch)});
-  }
-  return out;
+  // The join output for downstream state building.
+  return HashJoin(left, right, keys_, residual_);
 }
 
 DeltaBatch IncJoin::PruneByBloom(DeltaBatch delta, const BloomFilter& filter,

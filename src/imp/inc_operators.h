@@ -10,7 +10,7 @@
 
 #include "common/serde.h"
 #include "common/status.h"
-#include "exec/annotated_executor.h"
+#include "exec/executor.h"
 #include "exec/vector_kernels.h"
 #include "expr/expr.h"
 #include "imp/delta.h"

@@ -6,22 +6,16 @@ namespace imp {
 
 Result<ProvenanceSketch> CaptureEngine::Capture(const PlanPtr& plan,
                                                 const ReadView* view) const {
-  IMP_ASSIGN_OR_RETURN(auto pair, CaptureWithResult(plan, view));
-  return pair.second;
-}
-
-Result<std::pair<Relation, ProvenanceSketch>> CaptureEngine::CaptureWithResult(
-    const PlanPtr& plan, const ReadView* view) const {
   // Fires before the annotated run: a failed capture leaves no sketch and
   // no partial state — the caller falls back to plain execution.
   IMP_FAILPOINT(kFpCapture);
-  AnnotatedExecutor exec(
-      db_,
-      [this](const std::string& table, const Tuple& row, BitVector* out) {
-        catalog_->AnnotateRow(table, row, out);
-      },
-      view);
-  IMP_ASSIGN_OR_RETURN(AnnotatedRelation result, exec.Execute(plan));
+  IMP_ASSIGN_OR_RETURN(
+      AnnotatedRelation result,
+      Executor(db_, view).ExecuteAnnotated(
+          plan,
+          [this](const std::string& table, const Tuple& row, BitVector* out) {
+            catalog_->AnnotateRow(table, row, out);
+          }));
   ProvenanceSketch sketch;
   sketch.fragments = result.SketchUnion();
   sketch.fragments.Resize(catalog_->total_fragments());
@@ -29,7 +23,7 @@ Result<std::pair<Relation, ProvenanceSketch>> CaptureEngine::CaptureWithResult(
   // anchor at its watermark so in-flight asynchronously-ingested
   // statements still count as pending.
   sketch.valid_version = view ? view->watermark() : db_->StableVersion();
-  return std::make_pair(result.ToRelation(), std::move(sketch));
+  return sketch;
 }
 
 }  // namespace imp

@@ -1,13 +1,12 @@
-// Sketch capture: runs the instrumented (annotated) version of a query and
-// returns the accurate provenance sketch. Re-running capture is also the
-// full-maintenance (FM) baseline of the evaluation.
+// Sketch capture: runs the query under annotated semantics
+// (Executor::ExecuteAnnotated) and returns the accurate provenance sketch.
+// Re-running capture is also the full-maintenance (FM) baseline of the
+// evaluation.
 
 #ifndef IMP_SKETCH_CAPTURE_H_
 #define IMP_SKETCH_CAPTURE_H_
 
-#include <utility>
-
-#include "exec/annotated_executor.h"
+#include "exec/executor.h"
 #include "sketch/sketch.h"
 
 namespace imp {
@@ -24,12 +23,6 @@ class CaptureEngine {
   /// the currently published snapshots and anchors at the stable watermark.
   Result<ProvenanceSketch> Capture(const PlanPtr& plan,
                                    const ReadView* view = nullptr) const;
-
-  /// Capture and also return the (un-annotated) query result — IMP uses
-  /// this when a fresh sketch is captured to answer the triggering query in
-  /// the same pass (Fig. 2, dashed blue then green pipelines).
-  Result<std::pair<Relation, ProvenanceSketch>> CaptureWithResult(
-      const PlanPtr& plan, const ReadView* view = nullptr) const;
 
  private:
   const Database* db_;

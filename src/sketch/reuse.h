@@ -10,12 +10,18 @@
 //       - `x > c` / `x >= c`:  c_Q >= c_Q'
 //       - `x < c` / `x <= c`:  c_Q <= c_Q'
 //       - `x BETWEEN lo AND hi`: [lo_Q, hi_Q] ⊆ [lo_Q', hi_Q']
-//     where, above an aggregate (HAVING position), x must be a SUM or
-//     COUNT output (monotone aggregates; AVG/MIN/MAX thresholds require
-//     equality);
+//     but only where every operator above keeps Q's provenance inside
+//     Q''s: never under a top-k (a row Q' cut can move into Q's top k), and
+//     below an aggregate only when its HAVING is absent or every conjunct
+//     is `>`/`>=` over a SUM or COUNT (fewer input rows then only drop
+//     groups). In a HAVING, x must itself be a SUM or COUNT output
+//     (AVG/MIN/MAX thresholds require equality). Only AND and OR pass the
+//     relaxation to their operands: under NOT or inside arithmetic a
+//     constant must be equal;
 //   * any other differing constant rejects reuse (a fresh sketch is
 //     captured instead — the sketch store holds multiple sketches per
 //     template).
+// SUM arguments are assumed non-negative, as safety's rule R3 assumes.
 
 #ifndef IMP_SKETCH_REUSE_H_
 #define IMP_SKETCH_REUSE_H_

@@ -414,26 +414,6 @@ std::vector<Tuple> Table::EraseRows(const std::vector<BitVector>& selection) {
   return erased;
 }
 
-std::pair<Value, Value> Table::ColumnMinMax(size_t col) const {
-  // Same accumulator fold as TableSnapshot::ColumnMinMax, over the
-  // writer's current chunks.
-  Value min, max;
-  bool first = true;
-  for (const auto& chunk : chunks_) {
-    Value cmin, cmax;
-    if (!chunk->column(col).MinMax(&cmin, &cmax)) continue;
-    if (first) {
-      min = std::move(cmin);
-      max = std::move(cmax);
-      first = false;
-    } else {
-      if (cmin < min) min = std::move(cmin);
-      if (max < cmax) max = std::move(cmax);
-    }
-  }
-  return {min, max};
-}
-
 void Table::PublishSnapshot() {
   // Sharing the writer's chunk pointers is what makes publication O(#chunks):
   // row data is never copied here. The tail chunk becomes shared — the next

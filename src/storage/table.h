@@ -361,9 +361,6 @@ class Table {
   /// the only rows boxed. Pinned snapshots keep the replaced chunks alive.
   std::vector<Tuple> EraseRows(const std::vector<BitVector>& selection);
 
-  /// Writer-side column min/max over the current applied state.
-  std::pair<Value, Value> ColumnMinMax(size_t col) const;
-
   /// Stage one record into the log's unpublished tail (the Database
   /// wrapper stamps versions and publishes per statement or batch).
   void AppendDelta(DeltaRecord rec) { delta_log_.Append(std::move(rec)); }

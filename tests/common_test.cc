@@ -1,5 +1,5 @@
 // Unit tests for the common kernel: values, schemas, tuples, bitvectors,
-// bloom filters, status/result.
+// bloom filters, status/result and check macros.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 
 #include "common/bitvector.h"
 #include "common/bloom_filter.h"
+#include "common/logging.h"
 #include "common/random.h"
 #include "common/schema.h"
 #include "common/status.h"
@@ -384,6 +385,18 @@ TEST(ResultTest, ValueAndStatus) {
   Result<int> err(Status::NotFound("x"));
   EXPECT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kNotFound);
+}
+
+// ---- Check macros ------------------------------------------------------------
+
+TEST(CheckDeathTest, CheckMsgPrintsItsMessage) {
+  // The message may be a C string or a std::string, such as the temporary
+  // Status::ToString() returns.
+  Status s = Status::NotFound("table ghost");
+  EXPECT_DEATH(IMP_CHECK_MSG(s.ok(), s.ToString()),
+               "IMP_CHECK failed: s\\.ok\\(\\) \\(NotFound: table ghost\\)");
+  EXPECT_DEATH(IMP_CHECK_MSG(false, "plain message"),
+               "IMP_CHECK failed: false \\(plain message\\)");
 }
 
 // ---- Rng ---------------------------------------------------------------------

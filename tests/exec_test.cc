@@ -1,9 +1,10 @@
-// Tests for the backend executor (bag semantics) and the annotated
-// (capture) executor, including the paper's worked examples.
+// Tests for the backend executor (bag semantics), plain and annotated
+// (capture), including the paper's worked examples.
 
 #include <gtest/gtest.h>
 
-#include "exec/annotated_executor.h"
+#include <map>
+
 #include "exec/executor.h"
 #include "sketch/partition.h"
 #include "test_util.h"
@@ -127,20 +128,6 @@ TEST_F(ExecTest, RelationSameBag) {
   EXPECT_FALSE(a.SameBag(c));
 }
 
-TEST_F(ExecTest, BoundRelationShadowsTable) {
-  PlanPtr plan = MustBind(db_, "SELECT sid FROM sales");
-  Relation tiny;
-  tiny.schema = db_.GetTable("sales")->schema();
-  tiny.rows.push_back({Value::Int(99), Value::String("Z"), Value::String("z"),
-                       Value::Int(1), Value::Int(1)});
-  Executor exec(&db_);
-  exec.BindRelation("sales", &tiny);
-  auto result = exec.Execute(plan);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result.value().size(), 1u);
-  EXPECT_EQ(result.value().rows[0][0], Value::Int(99));
-}
-
 TEST_F(ExecTest, MissingTableError) {
   Schema s;
   s.AddColumn("x", ValueType::kInt);
@@ -149,7 +136,7 @@ TEST_F(ExecTest, MissingTableError) {
   EXPECT_EQ(exec.Execute(plan).status().code(), StatusCode::kNotFound);
 }
 
-// ---- Annotated executor -----------------------------------------------------
+// ---- Annotated execution ----------------------------------------------------
 
 class AnnotatedExecTest : public ::testing::Test {
  protected:
@@ -159,18 +146,43 @@ class AnnotatedExecTest : public ::testing::Test {
   }
 
   AnnotatedRelation RunAnnotated(const std::string& sql) {
-    PlanPtr plan = MustBind(db_, sql);
-    AnnotatedExecutor exec(
-        &db_, [this](const std::string& t, const Tuple& row, BitVector* out) {
+    return RunAnnotated(MustBind(db_, sql));
+  }
+
+  /// Runs `plan` annotated, then plain on the same executor, and checks
+  /// that the annotated rows with their sketches dropped are the plain
+  /// rows, in the same order.
+  AnnotatedRelation RunAnnotated(
+      const PlanPtr& plan,
+      RangeIndexMode mode = RangeIndexMode::kIfAvailable) {
+    Executor exec(&db_);
+    exec.set_range_index_mode(mode);
+    auto annotated = exec.ExecuteAnnotated(
+        plan, [this](const std::string& t, const Tuple& row, BitVector* out) {
           catalog_.AnnotateRow(t, row, out);
         });
-    auto result = exec.Execute(plan);
-    IMP_CHECK_MSG(result.ok(), result.status().ToString().c_str());
-    return std::move(result).value();
+    IMP_CHECK_MSG(annotated.ok(), annotated.status().ToString());
+    auto plain = exec.Execute(plan);
+    IMP_CHECK_MSG(plain.ok(), plain.status().ToString());
+    EXPECT_EQ(annotated.value().ToRelation().rows, plain.value().rows)
+        << plan->ToString();
+    last_stats_ = exec.scan_stats();
+    return std::move(annotated).value();
+  }
+
+  /// Each row's first column (an int id) mapped to its sketch's fragments.
+  static std::map<int64_t, std::vector<size_t>> SketchById(
+      const AnnotatedRelation& rel) {
+    std::map<int64_t, std::vector<size_t>> out;
+    for (const AnnotatedRow& r : rel.rows) {
+      out[r.row[0].AsInt()] = r.sketch.SetBits();
+    }
+    return out;
   }
 
   Database db_;
   PartitionCatalog catalog_;
+  ScanStats last_stats_;
 };
 
 TEST_F(AnnotatedExecTest, ScanAnnotatesByFragment) {
@@ -220,6 +232,86 @@ TEST_F(AnnotatedExecTest, UnpartitionedTableGetsEmptyAnnotation) {
   AnnotatedRelation rel = RunAnnotated("SELECT x FROM plain");
   ASSERT_EQ(rel.size(), 1u);
   EXPECT_TRUE(rel.rows[0].sketch.None());
+}
+
+// Fragments of φ_price for the Fig. 1 rows: s1, s2 → ρ1 (0); s6, s7 → ρ2
+// (1); s3, s5 → ρ3 (2); s4 → ρ4 (3).
+
+TEST_F(AnnotatedExecTest, JoinWithResidualUnionsBothSides) {
+  // Same brand, cheaper on the left: (s1, s2), (s3, s4) and (s7, s6).
+  AnnotatedRelation rel = RunAnnotated(
+      "SELECT a.sid AS x, b.sid AS y FROM sales a JOIN sales b "
+      "ON (a.brand = b.brand AND a.price < b.price)");
+  ASSERT_EQ(rel.size(), 3u);
+  std::map<int64_t, std::vector<size_t>> expected = {
+      {1, {0}}, {3, {2, 3}}, {7, {1}}};
+  EXPECT_EQ(SketchById(rel), expected);
+}
+
+TEST_F(AnnotatedExecTest, CrossProductUnionsBothSides) {
+  // {s4, s5} × {s1, s2}: no join key, so the executor takes the
+  // cross-product path.
+  AnnotatedRelation rel = RunAnnotated(
+      "SELECT a.sid AS x, b.sid AS y FROM sales a, sales b "
+      "WHERE a.price > 1300 AND b.price < 500");
+  ASSERT_EQ(rel.size(), 4u);
+  for (const AnnotatedRow& r : rel.rows) {
+    std::vector<size_t> expected = r.row[0] == Value::Int(4)
+                                       ? std::vector<size_t>{0, 3}
+                                       : std::vector<size_t>{0, 2};
+    EXPECT_EQ(r.sketch.SetBits(), expected) << TupleToString(r.row);
+  }
+}
+
+TEST_F(AnnotatedExecTest, TopKRowsKeepTheirOwnSketch) {
+  AnnotatedRelation rel =
+      RunAnnotated("SELECT sid, price FROM sales ORDER BY price DESC LIMIT 3");
+  ASSERT_EQ(rel.size(), 3u);
+  // s4 (3875), s5 (1345), s3 (1199), in that order.
+  EXPECT_EQ(rel.rows[0].row[0], Value::Int(4));
+  EXPECT_EQ(rel.rows[0].sketch.SetBits(), std::vector<size_t>{3});
+  EXPECT_EQ(rel.rows[1].row[0], Value::Int(5));
+  EXPECT_EQ(rel.rows[1].sketch.SetBits(), std::vector<size_t>{2});
+  EXPECT_EQ(rel.rows[2].row[0], Value::Int(3));
+  EXPECT_EQ(rel.rows[2].sketch.SetBits(), std::vector<size_t>{2});
+}
+
+TEST_F(AnnotatedExecTest, DistinctUnionsDuplicateSketches) {
+  AnnotatedRelation rel = RunAnnotated("SELECT DISTINCT brand FROM sales");
+  ASSERT_EQ(rel.size(), 4u);
+  std::map<std::string, std::vector<size_t>> sketches;
+  for (const AnnotatedRow& r : rel.rows) {
+    sketches[r.row[0].AsString()] = r.sketch.SetBits();
+  }
+  std::map<std::string, std::vector<size_t>> expected = {
+      {"Apple", {2, 3}}, {"Dell", {2}}, {"HP", {1}}, {"Lenovo", {0}}};
+  EXPECT_EQ(sketches, expected);
+}
+
+TEST_F(AnnotatedExecTest, GlobalAggregateOnEmptyInputHasEmptySketch) {
+  AnnotatedRelation rel = RunAnnotated(
+      "SELECT count(*) AS n, sum(price) AS s FROM sales WHERE price > 99999");
+  ASSERT_EQ(rel.size(), 1u);
+  EXPECT_EQ(rel.rows[0].row[0], Value::Int(0));
+  EXPECT_TRUE(rel.rows[0].row[1].is_null());
+  EXPECT_TRUE(rel.rows[0].sketch.None());
+}
+
+TEST_F(AnnotatedExecTest, RangeScanAnnotatesOnIndexAndChunkPaths) {
+  // A scan filtered on price BETWEEN 600 AND 1200: s3 (1199) in ρ3, s6
+  // (999) and s7 (899) in ρ2.
+  PlanPtr plan = MakeScan(
+      "sales", db_.GetTable("sales")->schema(),
+      MakeBetween(MakeColumnRef(3, "price", ValueType::kInt),
+                  MakeLiteral(Value::Int(600)), MakeLiteral(Value::Int(1200))));
+  std::map<int64_t, std::vector<size_t>> expected = {
+      {3, {2}}, {6, {1}}, {7, {1}}};
+  AnnotatedRelation indexed = RunAnnotated(plan, RangeIndexMode::kBuild);
+  EXPECT_GT(last_stats_.index_range_scans, 0u);
+  EXPECT_EQ(SketchById(indexed), expected);
+  AnnotatedRelation filtered = RunAnnotated(plan, RangeIndexMode::kOff);
+  EXPECT_EQ(last_stats_.index_range_scans, 0u);
+  EXPECT_EQ(SketchById(filtered), expected);
 }
 
 }  // namespace

@@ -336,5 +336,75 @@ TEST_F(MiddlewareTest, MistypedWritesChangeNothingSyncOrAsync) {
   }
 }
 
+// ---- Reuse by provenance containment ----------------------------------------
+// t(g, v) is partitioned on g into three equal-width fragments over [0, 29],
+// so groups 5 and 15 lie in different fragments. Each case captures a
+// sketch for the first query, then asks a same-template query with a
+// stricter constant whose provenance the sketch does not cover: IMP must
+// not reuse it, and answers as the plain executor does.
+
+Relation ReuseCaseAnswer(const std::vector<Tuple>& rows,
+                         const std::string& captured,
+                         const std::string& query) {
+  Database db;
+  Schema schema;
+  schema.AddColumn("g", ValueType::kInt);
+  schema.AddColumn("v", ValueType::kInt);
+  IMP_CHECK(db.CreateTable("t", schema).ok());
+  IMP_CHECK(db.BulkLoad("t", rows).ok());
+  ImpConfig config;
+  config.mode = ExecutionMode::kIncremental;
+  ImpSystem system(&db, config);
+  IMP_CHECK(system
+                .RegisterPartition(
+                    RangePartition::EquiWidthInt("t", "g", 0, 0, 29, 3))
+                .ok());
+  IMP_CHECK(system.Query(captured).ok());
+  auto answer = system.Query(query);
+  IMP_CHECK_MSG(answer.ok(), answer.status().ToString());
+  auto plain = Executor(&db).Execute(MustBind(db, query));
+  IMP_CHECK_MSG(plain.ok(), plain.status().ToString());
+  EXPECT_TRUE(answer.value().SameBag(plain.value()))
+      << query << "\nIMP: " << answer.value().ToString()
+      << "plain: " << plain.value().ToString();
+  return std::move(answer).value();
+}
+
+Tuple GV(int64_t g, int64_t v) { return {Value::Int(g), Value::Int(v)}; }
+
+TEST(ReuseContainmentTest, StricterWhereUnderNonMonotoneHaving) {
+  Relation r = ReuseCaseAnswer(
+      {GV(5, 1), GV(5, 5), GV(15, 1)},
+      "SELECT g, count(*) AS n FROM t WHERE v >= 1 GROUP BY g "
+      "HAVING count(*) < 2",
+      "SELECT g, count(*) AS n FROM t WHERE v >= 3 GROUP BY g "
+      "HAVING count(*) < 2");
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r.rows[0], GV(5, 1));
+}
+
+TEST(ReuseContainmentTest, StricterWhereUnderTopK) {
+  Relation r = ReuseCaseAnswer(
+      {GV(5, 1), GV(5, 1), GV(5, 1), GV(5, 1), GV(5, 1), GV(5, 3),
+       GV(15, 4)},
+      "SELECT g, sum(v) AS s FROM t WHERE v >= 1 GROUP BY g "
+      "ORDER BY s DESC LIMIT 1",
+      "SELECT g, sum(v) AS s FROM t WHERE v >= 3 GROUP BY g "
+      "ORDER BY s DESC LIMIT 1");
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r.rows[0], GV(15, 4));
+}
+
+TEST(ReuseContainmentTest, StricterHavingUnderTopK) {
+  Relation r = ReuseCaseAnswer(
+      {GV(5, 1), GV(5, 2), GV(15, 4), GV(15, 6)},
+      "SELECT g, sum(v) AS s FROM t GROUP BY g HAVING sum(v) > 0 "
+      "ORDER BY s ASC LIMIT 1",
+      "SELECT g, sum(v) AS s FROM t GROUP BY g HAVING sum(v) > 5 "
+      "ORDER BY s ASC LIMIT 1");
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r.rows[0], GV(15, 10));
+}
+
 }  // namespace
 }  // namespace imp

@@ -19,6 +19,10 @@ class ReuseTest : public ::testing::Test {
     spec.num_rows = 100;
     spec.num_groups = 10;
     IMP_CHECK(CreateSyntheticTable(&db_, spec).ok());
+    Schema gv;
+    gv.AddColumn("g", ValueType::kInt);
+    gv.AddColumn("v", ValueType::kInt);
+    IMP_CHECK(db_.CreateTable("gv", gv).ok());
   }
 
   bool Reusable(const std::string& captured, const std::string& query) {
@@ -146,6 +150,44 @@ TEST_F(ReuseTest, MultipleConjunctsCheckedIndependently) {
   EXPECT_FALSE(Reusable(base,
                         "SELECT a, sum(b) AS s, count(*) AS n FROM t GROUP "
                         "BY a HAVING sum(b) > 200 AND count(*) > 1"));
+}
+
+// ---- Provenance containment -------------------------------------------------
+// Each pair below returns, on some data, a row whose provenance lies outside
+// the captured sketch; middleware_test runs the first three end to end.
+
+TEST_F(ReuseTest, StricterWhereUnderNonMonotoneHavingRefused) {
+  // Fewer rows shrink count(*), so a group can newly pass `count(*) < 2`.
+  EXPECT_FALSE(Reusable(
+      "SELECT g, count(*) AS n FROM gv WHERE v >= 1 GROUP BY g "
+      "HAVING count(*) < 2",
+      "SELECT g, count(*) AS n FROM gv WHERE v >= 3 GROUP BY g "
+      "HAVING count(*) < 2"));
+}
+
+TEST_F(ReuseTest, StricterWhereUnderTopKRefused) {
+  // Fewer rows reorder the sums, so another group can enter the top 1.
+  EXPECT_FALSE(Reusable(
+      "SELECT g, sum(v) AS s FROM gv WHERE v >= 1 GROUP BY g "
+      "ORDER BY s DESC LIMIT 1",
+      "SELECT g, sum(v) AS s FROM gv WHERE v >= 3 GROUP BY g "
+      "ORDER BY s DESC LIMIT 1"));
+}
+
+TEST_F(ReuseTest, StricterHavingUnderTopKRefused) {
+  // The stricter HAVING drops the captured top-1 group, and the next one
+  // lies outside the sketch.
+  EXPECT_FALSE(Reusable(
+      "SELECT g, sum(v) AS s FROM gv GROUP BY g HAVING sum(v) > 0 "
+      "ORDER BY s ASC LIMIT 1",
+      "SELECT g, sum(v) AS s FROM gv GROUP BY g HAVING sum(v) > 5 "
+      "ORDER BY s ASC LIMIT 1"));
+}
+
+TEST_F(ReuseTest, StricterConstantUnderNotRefused) {
+  // NOT reverses the direction: `NOT (price > 600)` admits price 550.
+  EXPECT_FALSE(Reusable("SELECT sid FROM sales WHERE NOT (price > 500)",
+                        "SELECT sid FROM sales WHERE NOT (price > 600)"));
 }
 
 }  // namespace

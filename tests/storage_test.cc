@@ -220,7 +220,8 @@ TEST(TableTest, DeleteMatchesRowAtATimeOracle) {
 TEST(TableTest, ColumnMinMax) {
   Table t("t", TwoColSchema());
   for (int64_t i = 0; i < 50; ++i) t.AppendRow(Row(i, 100 - i));
-  auto [min, max] = t.ColumnMinMax(1);
+  t.PublishSnapshot();
+  auto [min, max] = t.Snapshot()->ColumnMinMax(1);
   EXPECT_EQ(min, Value::Int(51));
   EXPECT_EQ(max, Value::Int(100));
 }

@@ -358,11 +358,11 @@ TEST(VectorKernelTest, CaptureMatchesHandAnnotatedRows) {
   ASSERT_TRUE(catalog.Register(SalesPricePartition()).ok());
   PlanPtr plan =
       MustBind(db, "SELECT sid FROM sales WHERE price BETWEEN 1001 AND 1500");
-  AnnotatedExecutor exec(&db, [&](const std::string& table, const Tuple& row,
-                                  BitVector* out) {
-    catalog.AnnotateRow(table, row, out);
-  });
-  auto result = exec.Execute(plan);
+  Executor exec(&db);
+  auto result = exec.ExecuteAnnotated(
+      plan, [&](const std::string& table, const Tuple& row, BitVector* out) {
+        catalog.AnnotateRow(table, row, out);
+      });
   ASSERT_TRUE(result.ok());
   // s3 (price 1199) and s5 (1345), both in ρ3 = [1001, 1500].
   Relation expected{plan->output_schema(), {{Value::Int(3)}, {Value::Int(5)}}};
@@ -603,10 +603,11 @@ TEST(ColumnStorageOracleTest, EveryTypeMatchesAppendedValues) {
   }
 }
 
-TEST(ColumnStorageOracleTest, ColumnarAggregateBuildMatchesAnnotatedExecutor) {
+TEST(ColumnStorageOracleTest,
+     ColumnarAggregateBuildMatchesExecuteAnnotated) {
   // IncAggregate::Build aggregates straight off the chunk columns when its
   // child is a filterless scan (TryBuildColumnar). The row-at-a-time
-  // AnnotatedExecutor over the same plan is its oracle — across an int
+  // Executor::ExecuteAnnotated over the same plan is its oracle — across an int
   // group key with NULLs (raw-int64 side map mixed with the tuple path), a
   // dictionary-string key, and no GROUP BY.
   Rng rng(71);
@@ -655,11 +656,10 @@ TEST(ColumnStorageOracleTest, ColumnarAggregateBuildMatchesAnnotatedExecutor) {
                      IncAggregate::Options{}, &stats);
     Result<AnnotatedRelation> built = agg.Build(DeltaContext{});
     ASSERT_TRUE(built.ok()) << "group col " << gc;
-    AnnotatedExecutor exec(&db, [&](const std::string& table, const Tuple& row,
-                                    BitVector* out) {
-      catalog.AnnotateRow(table, row, out);
-    });
-    Result<AnnotatedRelation> expected = exec.Execute(plan);
+    Result<AnnotatedRelation> expected = Executor(&db).ExecuteAnnotated(
+        plan, [&](const std::string& table, const Tuple& row, BitVector* out) {
+          catalog.AnnotateRow(table, row, out);
+        });
     ASSERT_TRUE(expected.ok()) << "group col " << gc;
     EXPECT_GT(expected.value().rows.size(), 0u) << "group col " << gc;
     EXPECT_EQ(agg.NumGroups(), expected.value().rows.size())
