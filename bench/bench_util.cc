@@ -1,12 +1,9 @@
 #include "bench_util.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 namespace imp {
 namespace bench {
@@ -42,22 +39,6 @@ double TimeSeconds(const std::function<void()>& fn) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-double MedianSeconds(const std::function<void()>& fn) {
-  std::vector<double> times;
-  for (int i = 0; i < Reps(); ++i) times.push_back(TimeSeconds(fn));
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
-}
-
-double PercentileUs(std::vector<double> seconds, double q) {
-  if (seconds.empty()) return 0;
-  std::sort(seconds.begin(), seconds.end());
-  size_t idx = std::min(seconds.size() - 1,
-                        static_cast<size_t>(q * static_cast<double>(
-                                                    seconds.size())));
-  return seconds[idx] * 1e6;
 }
 
 void PrintFigureHeader(const std::string& figure, const std::string& title) {
@@ -115,140 +96,6 @@ void SeriesTable::Print() const {
   std::fflush(stdout);
 }
 
-JsonReport::JsonReport(std::string bench_name)
-    : bench_name_(std::move(bench_name)), path_(OutputPath()) {}
-
-JsonReport::JsonReport(std::string bench_name, std::string default_path)
-    : bench_name_(std::move(bench_name)), path_(std::move(default_path)) {
-  const char* env = std::getenv("IMP_BENCH_JSON");
-  if (env != nullptr && env[0] != '\0') path_ = env;
-}
-
-void JsonReport::Add(const std::string& group, const std::string& metric,
-                     double value) {
-  for (auto& [name, metrics] : groups_) {
-    if (name == group) {
-      metrics.emplace_back(metric, value);
-      return;
-    }
-  }
-  groups_.emplace_back(group,
-                       std::vector<std::pair<std::string, double>>{
-                           {metric, value}});
-}
-
-std::string JsonReport::OutputPath() {
-  const char* env = std::getenv("IMP_BENCH_JSON");
-  return env != nullptr && env[0] != '\0' ? env : "BENCH_PR2.json";
-}
-
-namespace {
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-/// Split the top level of `{ "key": {...}, ... }` into (key, object-text)
-/// pairs by brace counting. Only handles JSON this reporter itself writes
-/// (no braces or escaped quotes inside strings); anything unparseable is
-/// dropped, which at worst loses another bench's old section.
-std::vector<std::pair<std::string, std::string>> SplitTopLevel(
-    const std::string& text) {
-  std::vector<std::pair<std::string, std::string>> out;
-  size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])))
-      ++i;
-  };
-  skip_ws();
-  if (i >= text.size() || text[i] != '{') return out;
-  ++i;
-  for (;;) {
-    skip_ws();
-    if (i >= text.size() || text[i] == '}') break;
-    if (text[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (text[i] != '"') break;
-    size_t key_end = text.find('"', i + 1);
-    if (key_end == std::string::npos) break;
-    std::string key = text.substr(i + 1, key_end - i - 1);
-    i = text.find('{', key_end);
-    if (i == std::string::npos) break;
-    int depth = 0;
-    size_t start = i;
-    for (; i < text.size(); ++i) {
-      if (text[i] == '{') ++depth;
-      if (text[i] == '}' && --depth == 0) {
-        ++i;
-        break;
-      }
-    }
-    if (depth != 0) break;
-    out.emplace_back(std::move(key), text.substr(start, i - start));
-  }
-  return out;
-}
-
-}  // namespace
-
-void JsonReport::Write() const {
-  // Render this bench's section.
-  std::ostringstream section;
-  section << "{\n";
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    section << "    \"" << groups_[g].first << "\": {";
-    const auto& metrics = groups_[g].second;
-    for (size_t m = 0; m < metrics.size(); ++m) {
-      section << "\"" << metrics[m].first
-              << "\": " << FormatDouble(metrics[m].second);
-      if (m + 1 < metrics.size()) section << ", ";
-    }
-    section << "}";
-    if (g + 1 < groups_.size()) section << ",";
-    section << "\n";
-  }
-  section << "  }";
-
-  // Read-modify-write: preserve other benches' sections.
-  const std::string& path = path_;
-  std::vector<std::pair<std::string, std::string>> sections;
-  {
-    std::ifstream in(path);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      sections = SplitTopLevel(buf.str());
-    }
-  }
-  bool replaced = false;
-  for (auto& [key, body] : sections) {
-    if (key == bench_name_) {
-      body = section.str();
-      replaced = true;
-    }
-  }
-  if (!replaced) sections.emplace_back(bench_name_, section.str());
-
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "JsonReport: cannot write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n";
-  for (size_t s = 0; s < sections.size(); ++s) {
-    out << "  \"" << sections[s].first << "\": " << sections[s].second;
-    if (s + 1 < sections.size()) out << ",";
-    out << "\n";
-  }
-  out << "}\n";
-  std::printf("\n[json] merged %zu metric group(s) into %s\n", groups_.size(),
-              path.c_str());
-}
-
 double TimeMaintain(Maintainer* maintainer,
                     const std::function<void()>& apply_update) {
   apply_update();
@@ -258,6 +105,18 @@ double TimeMaintain(Maintainer* maintainer,
   });
 }
 
+namespace {
+
+/// Median of Reps() invocations.
+double MedianSeconds(const std::function<void()>& fn) {
+  std::vector<double> times;
+  for (int i = 0; i < Reps(); ++i) times.push_back(TimeSeconds(fn));
+  std::sort(times.begin(), times.end());
+  return times[times.size() / 2];
+}
+
+}  // namespace
+
 double TimeFullMaintain(const Database& db, const PartitionCatalog& catalog,
                         const PlanPtr& plan) {
   CaptureEngine capture(&db, &catalog);
@@ -265,12 +124,6 @@ double TimeFullMaintain(const Database& db, const PartitionCatalog& catalog,
     auto sketch = capture.Capture(plan);
     IMP_CHECK_MSG(sketch.ok(), sketch.status().ToString().c_str());
   });
-}
-
-std::string Ms(double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", seconds * 1000.0);
-  return buf;
 }
 
 }  // namespace bench

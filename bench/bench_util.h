@@ -6,8 +6,6 @@
 //                    the paper's sizes correspond to roughly 100x).
 //   IMP_BENCH_REPS   repetitions per measurement; the median is reported
 //                    (default 3; the paper uses >= 10).
-//   IMP_BENCH_JSON   path of the machine-readable report benches merge
-//                    their metrics into (default BENCH_PR2.json).
 
 #ifndef IMP_BENCH_BENCH_UTIL_H_
 #define IMP_BENCH_BENCH_UTIL_H_
@@ -34,10 +32,6 @@ int Reps();
 
 /// Wall-clock seconds of one invocation.
 double TimeSeconds(const std::function<void()>& fn);
-/// Median of Reps() invocations.
-double MedianSeconds(const std::function<void()>& fn);
-/// The q-quantile (0 <= q <= 1) of per-op latencies, in MICROseconds.
-double PercentileUs(std::vector<double> seconds, double q);
 
 /// Pretty header for a figure bench.
 void PrintFigureHeader(const std::string& figure, const std::string& title);
@@ -57,40 +51,6 @@ class SeriesTable {
   std::vector<std::pair<std::string, std::vector<std::string>>> rows_;
 };
 
-/// Machine-readable benchmark output. Each bench accumulates named metrics
-/// grouped under series keys and merges its section into one JSON file
-/// (IMP_BENCH_JSON, default BENCH_PR2.json) via read-modify-write, so runs
-/// of several bench binaries compose into a single perf-trajectory report:
-///
-///   { "fig16_batching": { "multi_sketch": { "speedup_shared": 3.1, ... } },
-///     "fig08_mixed_workload": { "1U1Q/delta_20/IMP": { ... } } }
-class JsonReport {
- public:
-  explicit JsonReport(std::string bench_name);
-  /// Like above, but writing to `default_path` when IMP_BENCH_JSON is
-  /// unset — for benches that start a new PR's report (e.g. the ingestion
-  /// bench's BENCH_PR3.json) instead of appending to the current default.
-  JsonReport(std::string bench_name, std::string default_path);
-
-  /// Record one metric; groups and metrics keep insertion order. Keys must
-  /// not contain '"', '{' or '}' (they become JSON keys verbatim).
-  void Add(const std::string& group, const std::string& metric, double value);
-
-  /// Merge this bench's section into OutputPath(), replacing any previous
-  /// section of the same bench and preserving other benches' sections.
-  void Write() const;
-
-  /// IMP_BENCH_JSON or "BENCH_PR2.json".
-  static std::string OutputPath();
-
- private:
-  std::string bench_name_;
-  std::string path_;  ///< resolved output file
-  /// group -> ordered (metric, value); groups in insertion order.
-  std::vector<std::pair<std::string, std::vector<std::pair<std::string, double>>>>
-      groups_;
-};
-
 /// Measure incremental maintenance of `plan` for one update batch produced
 /// by `apply_update` (which mutates the database), using a pre-initialized
 /// maintainer. Returns seconds spent in MaintainFromBackend.
@@ -100,9 +60,6 @@ double TimeMaintain(Maintainer* maintainer,
 /// Measure full maintenance (capture-query re-run) on the current state.
 double TimeFullMaintain(const Database& db, const PartitionCatalog& catalog,
                         const PlanPtr& plan);
-
-/// Format seconds in ms with 3 decimals.
-std::string Ms(double seconds);
 
 }  // namespace bench
 }  // namespace imp

@@ -12,10 +12,9 @@
 // SUM > threshold variant instead, so the [37] reuse check accepts
 // template reuse across constants.
 
-// Extended for the batched maintenance pipeline: every configuration's
-// per-phase timings (capture / maintain / query / update) and ops/sec go to
-// BENCH_PR1.json, and a second section runs a multi-template eager workload
-// comparing per-sketch delta fetch vs shared fetch vs shared + parallel.
+// Extended for the batched maintenance pipeline: a second section runs a
+// multi-template eager workload comparing per-sketch delta fetch vs shared
+// fetch vs shared + parallel.
 
 #include <cstdio>
 #include <memory>
@@ -86,20 +85,6 @@ WorkloadResult RunConfig(ExecutionMode mode, size_t queries_per_round,
   return result.value();
 }
 
-void RecordResult(bench::JsonReport* json, const std::string& group,
-                  const std::string& mode, const WorkloadResult& r) {
-  json->Add(group, mode + "_seconds", r.total_seconds);
-  json->Add(group, mode + "_ops_per_sec",
-            r.total_seconds > 0
-                ? static_cast<double>(r.queries_run + r.updates_run) /
-                      r.total_seconds
-                : 0.0);
-  json->Add(group, mode + "_capture_seconds", r.stats.capture_seconds);
-  json->Add(group, mode + "_maintain_seconds", r.stats.maintain_seconds);
-  json->Add(group, mode + "_query_seconds", r.stats.query_seconds);
-  json->Add(group, mode + "_update_seconds", r.stats.update_seconds);
-}
-
 // ---- Shared vs per-sketch fetch under a multi-template workload ------------
 
 /// Mixed workload with 4 sketch templates (distinct aggregate columns) under
@@ -159,7 +144,6 @@ int main() {
   bench::PrintFigureHeader(
       "Figure 8", "mixed workloads: NS vs FM vs IMP (total seconds for " +
                       std::to_string(kTotalOps) + " ops)");
-  bench::JsonReport json("fig08_mixed_workload");
 
   struct Ratio {
     const char* name;
@@ -180,11 +164,6 @@ int main() {
                                      ratio.queries, ratio.updates, delta);
       table.AddRow(std::to_string(delta),
                    {ns.total_seconds, fm.total_seconds, inc.total_seconds});
-      std::string group = std::string(ratio.name) + "/delta_" +
-                          std::to_string(delta);
-      RecordResult(&json, group, "NS", ns);
-      RecordResult(&json, group, "FM", fm);
-      RecordResult(&json, group, "IMP", inc);
     }
     table.Print();
   }
@@ -202,17 +181,7 @@ int main() {
     batched.AddRow(std::to_string(delta),
                    {per_sketch.total_seconds, shared.total_seconds,
                     par.total_seconds});
-    std::string group = "batched/delta_" + std::to_string(delta);
-    RecordResult(&json, group, "per_sketch", per_sketch);
-    RecordResult(&json, group, "shared", shared);
-    RecordResult(&json, group, "shared_parallel", par);
-    json.Add(group, "shared_maintain_speedup",
-             shared.stats.maintain_seconds > 0
-                 ? per_sketch.stats.maintain_seconds /
-                       shared.stats.maintain_seconds
-                 : 0.0);
   }
   batched.Print();
-  json.Write();
   return 0;
 }

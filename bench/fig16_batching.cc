@@ -9,11 +9,10 @@
 // per-sketch baseline (one delta-log scan + annotation per sketch) against
 // the shared-fetch pipeline (one scan + one annotation per round, borrowed
 // zero-copy views per sketch) and its parallel fan-out. Results must be
-// bit-identical across configurations. Speedup bar (re-baselined for PR 2):
-// the delta-log scan push-down made the per-sketch baseline's scans
-// O(window) instead of O(log length), so the shared-fetch headroom shrank
-// from the ~2.4x of BENCH_PR1.json to the annotation+copy savings alone;
-// the enforced bar is now >= 1.1x (see BENCH_PR2.json for the trajectory).
+// bit-identical across configurations. Speedup bar: the delta-log scan
+// push-down made the per-sketch baseline's scans O(window) instead of
+// O(log length), so the shared-fetch headroom is the annotation+copy
+// savings alone; the bar is >= 1.1x.
 
 #include <algorithm>
 #include <cstdio>
@@ -218,7 +217,6 @@ int main() {
   using namespace imp;
   bench::PrintFigureHeader(
       "Figure 16", "eager maintenance: total cost of 1000 updates vs batch size");
-  bench::JsonReport json("fig16_batching");
   const size_t batch_sizes[] = {1, 5, 10, 50, 100, 250, 1000};
   bench::SeriesTable table("batch",
                            {"Q_endtoend total(ms)", "Q_joinsel total(ms)"});
@@ -226,13 +224,6 @@ int main() {
     double agg = RunAggregateQuery(b);
     double join = RunJoinQuery(b);
     table.AddRow(std::to_string(b), {agg * 1000.0, join * 1000.0});
-    std::string group = "batch_" + std::to_string(b);
-    json.Add(group, "endtoend_maintain_seconds", agg);
-    json.Add(group, "joinsel_maintain_seconds", join);
-    json.Add(group, "endtoend_updates_per_sec",
-             agg > 0 ? static_cast<double>(kUpdates) / agg : 0.0);
-    json.Add(group, "joinsel_updates_per_sec",
-             join > 0 ? static_cast<double>(kUpdates) / join : 0.0);
   }
   table.Print();
   std::printf(
@@ -294,35 +285,6 @@ int main() {
       "materializations=%zu borrowed_views=%zu — %s\n",
       shared.rows_copied, shared.deltas_materialized, shared.deltas_borrowed,
       shared.rows_copied == 0 ? "PASS" : "FAIL");
-
-  json.Add("multi_sketch", "num_sketches",
-           static_cast<double>(kMultiSketches));
-  json.Add("multi_sketch", "serial_maintain_seconds", serial.maintain_seconds);
-  json.Add("multi_sketch", "shared_maintain_seconds", shared.maintain_seconds);
-  json.Add("multi_sketch", "parallel_maintain_seconds",
-           parallel.maintain_seconds);
-  json.Add("multi_sketch", "speedup_shared", speedup_shared);
-  json.Add("multi_sketch", "speedup_parallel", speedup_parallel);
-  json.Add("multi_sketch", "serial_delta_scans",
-           static_cast<double>(serial.delta_scans));
-  json.Add("multi_sketch", "shared_delta_scans",
-           static_cast<double>(shared.delta_scans));
-  json.Add("multi_sketch", "shared_annotation_hits",
-           static_cast<double>(shared.annotation_hits));
-  json.Add("multi_sketch", "serial_deltas_borrowed",
-           static_cast<double>(serial.deltas_borrowed));
-  json.Add("multi_sketch", "serial_rows_copied",
-           static_cast<double>(serial.rows_copied));
-  json.Add("multi_sketch", "shared_deltas_borrowed",
-           static_cast<double>(shared.deltas_borrowed));
-  json.Add("multi_sketch", "shared_deltas_materialized",
-           static_cast<double>(shared.deltas_materialized));
-  json.Add("multi_sketch", "shared_rows_copied",
-           static_cast<double>(shared.rows_copied));
-  json.Add("multi_sketch", "parallel_rows_copied",
-           static_cast<double>(parallel.rows_copied));
-  json.Add("multi_sketch", "bit_identical", identical ? 1.0 : 0.0);
-  json.Write();
 
   // Exit code gates on the deterministic properties: bit-identical
   // sketches and the shared-work counters (1 scan serving all sketches,

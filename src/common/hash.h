@@ -3,18 +3,10 @@
 #ifndef IMP_COMMON_HASH_H_
 #define IMP_COMMON_HASH_H_
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-
-#include "common/bitvector.h"
 
 namespace imp {
-
-/// Hash of a NULL cell — must stay equal to Value::Hash() on a NULL Value
-/// so batched typed hashing agrees with row-at-a-time boxed hashing.
-constexpr uint64_t kNullValueHash = 0x9e3779b97f4a7c15ULL;
 
 /// 64-bit finalizer (splitmix64); good avalanche for integer keys.
 inline uint64_t HashInt64(uint64_t x) {
@@ -51,58 +43,6 @@ inline void HashColumnBatch(size_t num_rows, ElemHash&& elem_hash,
                             Vec* inout) {
   for (size_t i = 0; i < num_rows; ++i) {
     (*inout)[i] = HashCombine((*inout)[i], elem_hash(i));
-  }
-}
-
-/// Hash one double cell exactly like Value::Hash: integral-valued doubles
-/// hash as the equal int (Compare treats 2 == 2.0, so Hash must agree),
-/// everything else by bit pattern.
-inline uint64_t HashDoubleValue(double d) {
-  if (d == static_cast<double>(static_cast<int64_t>(d)) &&
-      std::abs(d) < 9.2e18) {
-    return HashInt64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-  }
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  std::memcpy(&bits, &d, sizeof(bits));
-  return HashInt64(bits);
-}
-
-// Unboxed fast paths over typed column payloads: fold a raw int64/double
-// array into the running per-row key hashes without constructing or
-// inspecting a Value per cell. `nulls` (may be null: no NULL rows) makes
-// the fold NULL-aware — NULL rows fold kNullValueHash, matching
-// Value::Hash on a NULL. Bit-identical to the boxed elem_hash form above.
-
-template <typename Vec>
-inline void HashColumnBatch(size_t num_rows, const int64_t* vals,
-                            const BitVector* nulls, Vec* inout) {
-  if (nulls == nullptr) {
-    for (size_t i = 0; i < num_rows; ++i) {
-      (*inout)[i] = HashCombine((*inout)[i],
-                                HashInt64(static_cast<uint64_t>(vals[i])));
-    }
-    return;
-  }
-  for (size_t i = 0; i < num_rows; ++i) {
-    uint64_t h = nulls->Test(i) ? kNullValueHash
-                                : HashInt64(static_cast<uint64_t>(vals[i]));
-    (*inout)[i] = HashCombine((*inout)[i], h);
-  }
-}
-
-template <typename Vec>
-inline void HashColumnBatch(size_t num_rows, const double* vals,
-                            const BitVector* nulls, Vec* inout) {
-  if (nulls == nullptr) {
-    for (size_t i = 0; i < num_rows; ++i) {
-      (*inout)[i] = HashCombine((*inout)[i], HashDoubleValue(vals[i]));
-    }
-    return;
-  }
-  for (size_t i = 0; i < num_rows; ++i) {
-    uint64_t h = nulls->Test(i) ? kNullValueHash : HashDoubleValue(vals[i]);
-    (*inout)[i] = HashCombine((*inout)[i], h);
   }
 }
 

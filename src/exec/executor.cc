@@ -408,22 +408,31 @@ Rel HashJoin(const Rel& left, const Rel& right,
   // Hash join: build on the right side.
   std::unordered_map<Tuple, std::vector<size_t>, TupleHash, TupleEq> ht;
   ht.reserve(right.rows.size());
+  Tuple key;
   for (size_t i = 0; i < right.rows.size(); ++i) {
-    const Tuple& r = TupleOf(right.rows[i]);
-    Tuple key;
-    key.reserve(keys.size());
-    for (const auto& kp : keys) key.push_back(r[kp.second]);
-    ht[std::move(key)].push_back(i);
+    if (JoinKeyOf(TupleOf(right.rows[i]), keys, /*left_side=*/false, &key)) {
+      ht[std::move(key)].push_back(i);
+    }
   }
   for (const auto& l : left.rows) {
-    Tuple key;
-    key.reserve(keys.size());
-    for (const auto& kp : keys) key.push_back(TupleOf(l)[kp.first]);
+    if (!JoinKeyOf(TupleOf(l), keys, /*left_side=*/true, &key)) continue;
     auto it = ht.find(key);
     if (it == ht.end()) continue;
     for (size_t ri : it->second) emit(l, right.rows[ri]);
   }
   return out;
+}
+
+bool JoinKeyOf(const Tuple& row, const std::vector<JoinNode::KeyPair>& keys,
+               bool left_side, Tuple* key) {
+  key->clear();
+  key->reserve(keys.size());
+  for (const auto& [lc, rc] : keys) {
+    const Value& v = row[left_side ? lc : rc];
+    if (v.is_null()) return false;
+    key->push_back(v);
+  }
+  return true;
 }
 
 template Relation HashJoin(const Relation&, const Relation&,

@@ -165,6 +165,13 @@ Rel HashJoin(const Rel& left, const Rel& right,
              const std::vector<JoinNode::KeyPair>& keys,
              const ExprPtr& residual);
 
+/// The equi-key of `row` on one side of `keys` (its left columns when
+/// `left_side`), written to `*key`. False when a component is NULL: SQL
+/// equality never holds for NULL, so such a row joins nothing. GROUP BY and
+/// DISTINCT still treat NULLs as equal.
+bool JoinKeyOf(const Tuple& row, const std::vector<JoinNode::KeyPair>& keys,
+               bool left_side, Tuple* key);
+
 /// The rows of `table`'s writer state a DELETE or UPDATE with WHERE
 /// `where` (null: every row) removes, picked chunk by chunk the way a scan
 /// picks them: zone maps skip the chunks no row of which can match, and

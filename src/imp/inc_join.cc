@@ -160,18 +160,14 @@ void IncJoin::JoinDeltaWithSide(const DeltaBatch& delta,
       [&](const AnnotatedDeltaRow& d) { delta_rows.push_back(&d); });
   std::unordered_map<Tuple, std::vector<size_t>, TupleHash, TupleEq> ht;
   ht.reserve(delta_rows.size());
+  Tuple key;
   for (size_t i = 0; i < delta_rows.size(); ++i) {
-    Tuple key;
-    for (const auto& [lc, rc] : keys_) {
-      key.push_back(delta_rows[i]->row[delta_is_left ? lc : rc]);
+    if (JoinKeyOf(delta_rows[i]->row, keys_, delta_is_left, &key)) {
+      ht[std::move(key)].push_back(i);
     }
-    ht[std::move(key)].push_back(i);
   }
   for (const AnnotatedRow& s : side.rows) {
-    Tuple key;
-    for (const auto& [lc, rc] : keys_) {
-      key.push_back(s.row[delta_is_left ? rc : lc]);
-    }
+    if (!JoinKeyOf(s.row, keys_, !delta_is_left, &key)) continue;
     auto it = ht.find(key);
     if (it == ht.end()) continue;
     for (size_t di : it->second) {
@@ -190,10 +186,9 @@ void IncJoin::JoinDeltaWithDelta(const DeltaBatch& dl, const DeltaBatch& dr,
   if (dl.empty() || dr.empty()) return;
   dl.ForEachRow([&](const AnnotatedDeltaRow& l) {
     dr.ForEachRow([&](const AnnotatedDeltaRow& r) {
-      if (!keys_.empty()) {
-        for (const auto& [lc, rc] : keys_) {
-          if (l.row[lc].Compare(r.row[rc]) != 0) return;
-        }
+      for (const auto& [lc, rc] : keys_) {
+        // NULL equals nothing, itself included (see JoinKeyOf).
+        if (l.row[lc].is_null() || l.row[lc].Compare(r.row[rc]) != 0) return;
       }
       // −ΔR ⋈ ΔS: the subtraction term of the post-state identity (it
       // collapses the paper's mixed insert/delete cases).
@@ -205,7 +200,6 @@ void IncJoin::JoinDeltaWithDelta(const DeltaBatch& dl, const DeltaBatch& dr,
 bool IncJoin::TryIndexedJoin(const DeltaBatch& delta, bool delta_is_left,
                              int sign, const ReadView* view,
                              AnnotatedDelta* out) {
-  if (!options_.use_index) return false;
   const std::optional<StatelessChain>& chain =
       delta_is_left ? right_chain_ : left_chain_;
   int index_col = delta_is_left ? right_index_col_ : left_index_col_;

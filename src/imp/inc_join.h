@@ -28,11 +28,6 @@ class IncJoin final : public IncOperator {
  public:
   struct Options {
     bool use_bloom = true;  ///< enable the Sec. 7.2 bloom-filter pruning
-    /// Answer delegated ΔR ⋈ S round trips through the snapshot's point
-    /// index when the side plan allows it (stateless chain with the key
-    /// column passed through). Off = always evaluate the side — the
-    /// bit-identical reference the index equivalence gates compare against.
-    bool use_index = true;
   };
 
   IncJoin(std::unique_ptr<IncOperator> left, std::unique_ptr<IncOperator> right,

@@ -68,7 +68,6 @@ std::unique_ptr<IncOperator> Maintainer::BuildOperator(const PlanPtr& plan) {
       const auto& node = static_cast<const JoinNode&>(*plan);
       IncJoin::Options jopts;
       jopts.use_bloom = options_.bloom_filters;
-      jopts.use_index = options_.indexed_joins;
       return std::make_unique<IncJoin>(
           BuildOperator(node.left()), BuildOperator(node.right()),
           node.left(), node.right(), node.keys(), node.residual(), db_,

@@ -31,11 +31,6 @@ struct MaintainerOptions {
   bool selection_pushdown = true;  ///< Sec. 7.2 delta pre-filtering
   size_t minmax_buffer = 0;        ///< top-l buffer for min/max (0 = all)
   size_t topk_buffer = 0;          ///< top-l buffer for top-k (0 = all)
-  /// Delegated ΔR ⋈ S round trips answered via the backend snapshot's
-  /// point index (storage/snapshot_index). Off = every round trip fully
-  /// evaluates the side; results are bit-identical either way — the
-  /// reference the index equivalence gates compare against.
-  bool indexed_joins = true;
 };
 
 /// Incremental maintenance procedure for one query's sketch.

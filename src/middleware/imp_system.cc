@@ -190,8 +190,7 @@ Result<SketchEntry*> ImpSystem::TryCreateEntryLocked(
       // recapture happened (chicken-and-egg otherwise: the measured rule
       // could never fire first).
       entry->ledger.ObserveCapture(entry->maintainer->last_build_seconds(),
-                                   RowsInView(view, entry->tables),
-                                   config_.policy.ewma_alpha);
+                                   RowsInView(view, entry->tables));
     }
   } else {
     CaptureEngine capture(db_, &catalog_);
@@ -271,8 +270,7 @@ Status ImpSystem::RecaptureEntry(SketchEntry* entry, const ReadView& view) {
   if (config_.mode == ExecutionMode::kIncremental &&
       config_.policy.mode == PolicyMode::kCostBased) {
     entry->ledger.ObserveCapture(entry->maintainer->last_build_seconds(),
-                                 RowsInView(view, entry->tables),
-                                 config_.policy.ewma_alpha);
+                                 RowsInView(view, entry->tables));
   }
   {
     std::lock_guard<std::mutex> stats(stats_mu_);
@@ -848,13 +846,19 @@ Status ImpSystem::StageIngestTask(const IngestTask& task,
   return Status::Internal("unhandled update kind");
 }
 
+namespace {
+/// Poisoned statements kept for diagnosis; beyond this the oldest dead
+/// letter is dropped (the count keeps climbing in stats).
+constexpr size_t kDeadLetterCapacity = 64;
+}  // namespace
+
 void ImpSystem::DeadLetterStatement(const IngestTask& task,
                                     const std::string& error) {
   {
     std::lock_guard<std::mutex> lock(dead_letter_mu_);
     dead_letters_.push_back(
         DeadLetter{task.update, task.version, task.delete_version, error});
-    while (dead_letters_.size() > config_.dead_letter_capacity) {
+    while (dead_letters_.size() > kDeadLetterCapacity) {
       dead_letters_.pop_front();
     }
   }
@@ -994,6 +998,11 @@ void ImpSystem::ApplyIngestBatch(const std::vector<IngestTask>& batch) {
   for (size_t i = 0; i < batch.size(); ++i) ingest_queue_->TaskDone();
 }
 
+namespace {
+/// Upper bound on an adaptively sized ingestion apply batch.
+constexpr size_t kIngestBatchCeiling = 64;
+}  // namespace
+
 void ImpSystem::IngestWorkerLoop() {
   const size_t configured = std::max<size_t>(1, config_.ingest_apply_batch);
   const bool adaptive = config_.policy.mode == PolicyMode::kCostBased &&
@@ -1010,8 +1019,7 @@ void ImpSystem::IngestWorkerLoop() {
       // latency. Drained results are identical for any batch size
       // (ticket-order apply), so this only moves throughput.
       batch_limit = std::max(
-          configured, std::min(ingest_queue_->size() + 1,
-                               config_.policy.ingest_batch_ceiling));
+          configured, std::min(ingest_queue_->size() + 1, kIngestBatchCeiling));
     }
     batch.clear();
     batch.push_back(std::move(*first));
@@ -1123,7 +1131,6 @@ Status ImpSystem::MaintainAllShards() {
 }
 
 void ImpSystem::TruncateDeltaLogs() {
-  if (!config_.truncate_delta_log) return;
   // The minimum valid_version across all shards: no sketch ever re-scans
   // at or below it, so the logs can drop that prefix. An empty store
   // truncates nothing (a first sketch captured later anchors at the
@@ -1453,16 +1460,13 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
                             mstats.recaptures > item.recaptures_before;
       if (captured) {
         item.entry->ledger.ObserveCapture(
-            item.entry->maintainer->last_build_seconds(), item.table_rows,
-            config_.policy.ewma_alpha);
+            item.entry->maintainer->last_build_seconds(), item.table_rows);
       } else {
         item.entry->ledger.ObserveRepair(
-            item.seconds, mstats.delta_rows_processed - item.delta_rows_before,
-            config_.policy.ewma_alpha);
+            item.seconds, mstats.delta_rows_processed - item.delta_rows_before);
       }
       if (round_hit_rate >= 0) {
-        item.entry->ledger.ObserveAnnotationHitRate(round_hit_rate,
-                                                    config_.policy.ewma_alpha);
+        item.entry->ledger.ObserveAnnotationHitRate(round_hit_rate);
       }
     }
   }

@@ -136,10 +136,6 @@ struct ImpConfig {
   /// still applied and retired in ticket order, so drained results are
   /// identical for any batch size.
   size_t ingest_apply_batch = 1;
-  /// After each MaintainAll round, truncate every table's delta log up to
-  /// the minimum valid_version across all sketch shards (no sketch will
-  /// ever re-scan below it), bounding log growth on long-lived systems.
-  bool truncate_delta_log = true;
 
   // --- Self-tuning maintenance policies (middleware/policy.h) -------------
   // PolicyMode::kCostBased turns the knobs above from hand-picked into
@@ -194,9 +190,6 @@ struct ImpConfig {
   /// Extra publication attempts the worker grants per touched table
   /// before the publication is forced through (storage/database.h).
   size_t publish_retry_limit = 8;
-  /// Poisoned statements kept for diagnosis; beyond this the oldest
-  /// dead letter is dropped (the count keeps climbing in stats).
-  size_t dead_letter_capacity = 64;
 };
 
 /// Wall-clock accounting split by pipeline stage.
@@ -464,8 +457,10 @@ class ImpSystem {
   /// MaintainAll body: per-shard write-locked rounds + truncation sweep.
   /// Caller holds the front-end lock (either side) and no shard lock.
   Status MaintainAllShards();
-  /// Truncate delta logs up to the minimum shard valid_version
-  /// (config.truncate_delta_log; no-op on an empty store).
+  /// After each MaintainAll round, truncate every table's delta log up to
+  /// the minimum valid_version across all sketch shards (no sketch will
+  /// ever re-scan below it), bounding log growth on long-lived systems.
+  /// No-op on an empty store.
   void TruncateDeltaLogs();
   /// Re-materialize an evicted maintainer from the backend blob store.
   Status EnsureMaintainer(SketchEntry* entry);
@@ -509,7 +504,7 @@ class ImpSystem {
   Status StageIngestTask(const IngestTask& task,
                          std::vector<std::string>* touched, bool* staged_any);
   /// Record a poisoned statement in the dead-letter store (bounded by
-  /// config.dead_letter_capacity; lifetime count in stats).
+  /// kDeadLetterCapacity in imp_system.cc; lifetime count in stats).
   void DeadLetterStatement(const IngestTask& task, const std::string& error);
   /// Fail-stop the write path: record `error`, mark the worker dead and
   /// close the queue (waking parked producers). Read path unaffected.

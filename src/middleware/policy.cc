@@ -7,9 +7,9 @@ namespace {
 
 // Fold one sample into an EWMA, using the sample itself as the seed so an
 // unwarmed estimate never averages against a fabricated zero.
-double Ewma(double current, bool warmed, double sample, double alpha) {
+double Ewma(double current, bool warmed, double sample) {
   if (!warmed) return sample;
-  return alpha * sample + (1.0 - alpha) * current;
+  return kCostEwmaAlpha * sample + (1.0 - kCostEwmaAlpha) * current;
 }
 
 }  // namespace
@@ -26,21 +26,18 @@ const char* SketchPolicyName(SketchPolicy policy) {
   return "unknown";
 }
 
-void SketchCostLedger::ObserveRepair(double seconds, size_t rows,
-                                     double alpha) {
+void SketchCostLedger::ObserveRepair(double seconds, size_t rows) {
   const double denom = static_cast<double>(std::max<size_t>(rows, 1));
-  repair_s_per_row = Ewma(repair_s_per_row, has_repair, seconds / denom, alpha);
+  repair_s_per_row = Ewma(repair_s_per_row, has_repair, seconds / denom);
   has_repair = true;
   upkeep_seconds += seconds;
   ++upkeep_rounds;
   ++idle_rounds;
 }
 
-void SketchCostLedger::ObserveCapture(double seconds, size_t rows,
-                                      double alpha) {
+void SketchCostLedger::ObserveCapture(double seconds, size_t rows) {
   const double denom = static_cast<double>(std::max<size_t>(rows, 1));
-  capture_s_per_row =
-      Ewma(capture_s_per_row, has_capture, seconds / denom, alpha);
+  capture_s_per_row = Ewma(capture_s_per_row, has_capture, seconds / denom);
   has_capture = true;
   upkeep_seconds += seconds;
   ++upkeep_rounds;
@@ -50,8 +47,8 @@ void SketchCostLedger::ObserveCapture(double seconds, size_t rows,
   needs_recapture = false;
 }
 
-void SketchCostLedger::ObserveAnnotationHitRate(double rate, double alpha) {
-  annotation_hit_rate = Ewma(annotation_hit_rate, has_hit_rate, rate, alpha);
+void SketchCostLedger::ObserveAnnotationHitRate(double rate) {
+  annotation_hit_rate = Ewma(annotation_hit_rate, has_hit_rate, rate);
   has_hit_rate = true;
 }
 

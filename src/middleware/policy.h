@@ -68,9 +68,6 @@ const char* SketchPolicyName(SketchPolicy policy);
 /// PolicyMode::kFixed ignores all of them.
 struct PolicyConfig {
   PolicyMode mode = PolicyMode::kFixed;
-  /// EWMA smoothing factor for the per-row cost estimates (0 < a <= 1;
-  /// higher = faster to follow workload shifts, noisier).
-  double ewma_alpha = 0.3;
   /// Outgrown-window structural rule: switch a stale sketch to recapture
   /// when its pending delta rows reach this fraction of its referenced
   /// tables' rows. Fires even before the timing EWMAs are warm.
@@ -89,15 +86,18 @@ struct PolicyConfig {
   /// Size ingestion apply batches from the observed backlog (deep queue
   /// -> larger cycles, one publication per touched table amortized across
   /// more statements) instead of the fixed ingest_apply_batch. Results
-  /// are identical for any batch size (ticket-order apply).
+  /// are identical for any batch size (ticket-order apply). At most 64
+  /// statements per batch.
   bool adaptive_ingest_batch = true;
-  /// Upper bound on an adaptively sized apply batch.
-  size_t ingest_batch_ceiling = 64;
   /// Evict a sketch maintained for this many consecutive rounds without a
   /// single query using it (0 disables eviction). A later query readmits
   /// it via recapture.
   size_t evict_after_idle_rounds = 16;
 };
+
+/// EWMA smoothing factor of the cost ledger's estimates (0 < a <= 1;
+/// higher = faster to follow workload shifts, noisier).
+constexpr double kCostEwmaAlpha = 0.3;
 
 /// Per-sketch cost ledger: EWMA estimates of what this sketch's upkeep
 /// costs and what it delivers. Written under the owning shard's WRITE
@@ -125,11 +125,11 @@ struct SketchCostLedger {
   bool needs_recapture = false;
 
   /// Record one incremental repair of `rows` delta rows taking `seconds`.
-  void ObserveRepair(double seconds, size_t rows, double alpha);
+  void ObserveRepair(double seconds, size_t rows);
   /// Record one capture/recapture over `rows` base-table rows.
-  void ObserveCapture(double seconds, size_t rows, double alpha);
+  void ObserveCapture(double seconds, size_t rows);
   /// Fold one round's shared-annotation-cache hit rate (0..1) in.
-  void ObserveAnnotationHitRate(double rate, double alpha);
+  void ObserveAnnotationHitRate(double rate);
 };
 
 /// Everything the decision reads about one sketch at round-planning time.

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/hash.h"
-
 namespace imp {
 
 ColumnVector::ColumnVector(ValueType type) {
@@ -277,46 +275,6 @@ ColumnVector ColumnVector::CopyRows(const std::vector<uint32_t>& rows) const {
       break;
   }
   return out;
-}
-
-void ColumnVector::AppendKeyHashes(size_t num_rows,
-                                   std::vector<uint64_t>* inout) const {
-  const BitVector* nulls = has_nulls_ ? &nulls_ : nullptr;
-  switch (encoding_) {
-    case Encoding::kInt64:
-      HashColumnBatch(num_rows, ints_.data(), nulls, inout);
-      return;
-    case Encoding::kDouble:
-      HashColumnBatch(num_rows, doubles_.data(), nulls, inout);
-      return;
-    case Encoding::kDictString: {
-      // Hash each distinct string once, then fold per-row by code.
-      std::vector<uint64_t> code_hash(dict_size());
-      for (uint32_t c = 0; c < code_hash.size(); ++c) {
-        std::string_view s = DictString(c);
-        code_hash[c] = HashBytes(s.data(), s.size());
-      }
-      for (size_t i = 0; i < num_rows; ++i) {
-        uint64_t h = (nulls != nullptr && nulls->Test(i))
-                         ? kNullValueHash
-                         : code_hash[codes_[i]];
-        (*inout)[i] = HashCombine((*inout)[i], h);
-      }
-      return;
-    }
-    case Encoding::kFlatString:
-      for (size_t i = 0; i < num_rows; ++i) {
-        uint64_t h;
-        if (nulls != nullptr && nulls->Test(i)) {
-          h = kNullValueHash;
-        } else {
-          std::string_view s = StringAt(i);
-          h = HashBytes(s.data(), s.size());
-        }
-        (*inout)[i] = HashCombine((*inout)[i], h);
-      }
-      return;
-  }
 }
 
 size_t ColumnVector::MemoryBytes() const {

@@ -100,14 +100,6 @@ class ColumnVector {
   /// first-use order; a flat string column stays flat.
   ColumnVector CopyRows(const std::vector<uint32_t>& rows) const;
 
-  /// Join-key extraction kernel: fold this column's first `num_rows` cell
-  /// hashes into the running per-row key hashes, `(*inout)[i] =
-  /// HashCombine((*inout)[i], Hash(cell_i))` — bit-identical to folding
-  /// GetValue(i).Hash() row-at-a-time, but unboxed: int64/double payloads
-  /// hash through the raw-array HashColumnBatch overloads, dictionary
-  /// strings hash each distinct value once, NULLs fold kNullValueHash.
-  void AppendKeyHashes(size_t num_rows, std::vector<uint64_t>* inout) const;
-
   /// Heap bytes of the payload (typed arrays + null bitmap + arena/offsets
   /// + writer-side dictionary map). Excludes sizeof(*this).
   size_t MemoryBytes() const;

@@ -10,6 +10,7 @@ std::shared_ptr<const HashShard> HashShard::Build(const ColumnVector& column,
   shard->buckets_.reserve(num_rows);
   // Each cell is reboxed exactly once into its bucket key.
   for (uint32_t r = 0; r < num_rows; ++r) {
+    if (column.IsNull(r)) continue;
     shard->buckets_[column.GetValue(r)].push_back(r);
   }
   return shard;

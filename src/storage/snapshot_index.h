@@ -36,8 +36,8 @@
 namespace imp {
 
 /// Immutable per-chunk point index: value -> row ids in ascending order.
-/// NULL values are indexed too (probing with NULL finds the NULL rows),
-/// matching the behavior of the monolithic hash index this replaces.
+/// NULLs are excluded, as in SortedShard: under SQL equality a NULL
+/// matches nothing, so probing with NULL finds no row.
 class HashShard {
  public:
   /// Build from the first `num_rows` entries of a chunk column.

@@ -564,7 +564,6 @@ TEST(ConcurrentFrontendTest, MaintainAllTruncatesUpToMinShardVersion) {
   ASSERT_TRUE(CreateSyntheticTable(&db, spec).ok());
   ImpConfig config;
   config.mode = ExecutionMode::kIncremental;
-  ASSERT_TRUE(config.truncate_delta_log);  // the default drives truncation
   ImpSystem system(&db, config);
   ASSERT_TRUE(system
                   .RegisterPartition(

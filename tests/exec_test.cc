@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "exec/executor.h"
 #include "sketch/partition.h"
@@ -11,6 +13,41 @@
 
 namespace imp {
 namespace {
+
+// l(x, u) and r(y, v), NULLs in every key column. Each pair of join
+// conditions is one key equality written twice: as hash-join keys, and as a
+// residual the binder cannot turn into keys (`+ 0`), which Expr::Eval
+// evaluates with SQL's NULL semantics. The pairs must give the same bag.
+void LoadNullKeyPair(Database* db) {
+  Schema l, r;
+  l.AddColumn("x", ValueType::kInt);
+  l.AddColumn("u", ValueType::kInt);
+  r.AddColumn("y", ValueType::kInt);
+  r.AddColumn("v", ValueType::kInt);
+  IMP_CHECK(db->CreateTable("l", l).ok());
+  IMP_CHECK(db->CreateTable("r", r).ok());
+  const std::vector<Tuple> rows = {{Value::Null(), Value::Int(1)},
+                                   {Value::Int(1), Value::Int(1)},
+                                   {Value::Int(1), Value::Null()},
+                                   {Value::Null(), Value::Null()},
+                                   {Value::Int(2), Value::Int(2)}};
+  IMP_CHECK(db->BulkLoad("l", rows).ok());
+  IMP_CHECK(db->BulkLoad("r", rows).ok());
+}
+
+struct NullKeyCase {
+  const char* keys;
+  const char* residual;
+  size_t rows;  // matches with no NULL in a key
+};
+const NullKeyCase kNullKeyCases[] = {
+    {"x = y", "x = y + 0", 5},  // x = 1: 2 x 2 rows, x = 2: 1 x 1
+    {"x = y AND u = v", "x = y + 0 AND u = v + 0", 2},
+};
+
+std::string NullKeyJoin(const char* on) {
+  return std::string("SELECT x, u, y, v FROM l JOIN r ON (") + on + ")";
+}
 
 class ExecTest : public ::testing::Test {
  protected:
@@ -118,6 +155,18 @@ TEST_F(ExecTest, JoinProducesBagSemantics) {
                   .ok());
   Relation r = Run("SELECT x, p FROM l JOIN rr ON (x = y)");
   EXPECT_EQ(r.size(), 4u);  // 2 copies of x=1 times 2 matches
+}
+
+TEST_F(ExecTest, EquiJoinKeysNeverMatchNull) {
+  LoadNullKeyPair(&db_);
+  for (const NullKeyCase& c : kNullKeyCases) {
+    Relation by_keys = Run(NullKeyJoin(c.keys));
+    Relation by_residual = Run(NullKeyJoin(c.residual));
+    EXPECT_EQ(by_keys.size(), c.rows) << c.keys;
+    EXPECT_TRUE(by_keys.SameBag(by_residual))
+        << c.keys << "\nkeys: " << by_keys.ToString()
+        << "residual: " << by_residual.ToString();
+  }
 }
 
 TEST_F(ExecTest, RelationSameBag) {
@@ -246,6 +295,16 @@ TEST_F(AnnotatedExecTest, JoinWithResidualUnionsBothSides) {
   std::map<int64_t, std::vector<size_t>> expected = {
       {1, {0}}, {3, {2, 3}}, {7, {1}}};
   EXPECT_EQ(SketchById(rel), expected);
+}
+
+TEST_F(AnnotatedExecTest, EquiJoinKeysNeverMatchNull) {
+  LoadNullKeyPair(&db_);
+  for (const NullKeyCase& c : kNullKeyCases) {
+    Relation by_keys = RunAnnotated(NullKeyJoin(c.keys)).ToRelation();
+    Relation by_residual = RunAnnotated(NullKeyJoin(c.residual)).ToRelation();
+    EXPECT_EQ(by_keys.size(), c.rows) << c.keys;
+    EXPECT_TRUE(by_keys.SameBag(by_residual)) << c.keys;
+  }
 }
 
 TEST_F(AnnotatedExecTest, CrossProductUnionsBothSides) {

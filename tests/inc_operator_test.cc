@@ -435,8 +435,12 @@ class JoinFixture : public ::testing::Test {
     IMP_CHECK(catalog_.Register(Fig5PartitionS()).ok());
   }
 
-  /// Join (σ_{a>3} r) ⋈_{b=d} s as in Fig. 5.
-  std::unique_ptr<IncJoin> NewJoin(bool use_bloom) {
+  /// Join (σ_{a>3} r) ⋈_{b=d} s as in Fig. 5. With `computed_keys`, each
+  /// side projects its key through `+ 0`, so no side maps the key to a base
+  /// column and every delegated round trip evaluates the side plan instead
+  /// of probing the point index.
+  std::unique_ptr<IncJoin> NewJoin(bool use_bloom,
+                                   bool computed_keys = false) {
     ExprPtr a_gt_3 = MakeBinary(BinaryOp::kGt,
                                 MakeColumnRef(0, "a", ValueType::kInt),
                                 MakeLiteral(Value::Int(3)));
@@ -446,10 +450,25 @@ class JoinFixture : public ::testing::Test {
 
     auto left_scan = std::make_unique<IncScan>(
         "r", nullptr, &db_, &catalog_, db_.GetTable("r")->schema(), &stats_);
-    auto left_op =
+    std::unique_ptr<IncOperator> left_op =
         std::make_unique<IncSelect>(std::move(left_scan), a_gt_3);
-    auto right_op = std::make_unique<IncScan>(
+    std::unique_ptr<IncOperator> right_op = std::make_unique<IncScan>(
         "s", nullptr, &db_, &catalog_, db_.GetTable("s")->schema(), &stats_);
+    if (computed_keys) {
+      auto plus_zero = [](PlanPtr plan, std::unique_ptr<IncOperator>* op,
+                          const char* id, const char* key) {
+        std::vector<ExprPtr> exprs = {
+            MakeColumnRef(0, id, ValueType::kInt),
+            MakeBinary(BinaryOp::kAdd, MakeColumnRef(1, key, ValueType::kInt),
+                       MakeLiteral(Value::Int(0)))};
+        PlanPtr projected = MakeProject(plan, exprs, {id, key});
+        *op = std::make_unique<IncProject>(std::move(*op), exprs,
+                                           projected->output_schema());
+        return projected;
+      };
+      left_plan = plus_zero(left_plan, &left_op, "a", "b");
+      right_plan = plus_zero(right_plan, &right_op, "c", "d");
+    }
 
     IncJoin::Options opts;
     opts.use_bloom = use_bloom;
@@ -529,6 +548,46 @@ TEST_F(JoinFixture, DeltaDeltaTermNotDoubleCounted) {
   EXPECT_EQ(out.value().rows[0].row,
             (Tuple{Value::Int(4), Value::Int(12), Value::Int(6),
                    Value::Int(12)}));
+}
+
+TEST_F(JoinFixture, NullKeyDeltaJoinsNothingOnEitherPath) {
+  // r and s each hold a row whose join key is NULL, so the bloom filters
+  // let NULL-key deltas through to the round trip. A NULL key equals
+  // nothing, itself included: a NULL-key delta on either side, alone or
+  // with one on the other side in the same batch, joins nothing, through
+  // the point index (direct keys) and through side evaluation (computed).
+  ASSERT_TRUE(db_.Insert("r", {{Value::Int(5), Value::Null()}}).ok());
+  ASSERT_TRUE(db_.Insert("s", {{Value::Int(3), Value::Null()}}).ok());
+  auto insert = [&](const std::vector<std::pair<std::string, Tuple>>& rows) {
+    uint64_t from = db_.CurrentVersion();
+    for (const auto& [table, row] : rows) {
+      IMP_CHECK(db_.Insert(table, {row}).ok());
+    }
+    return MakeDeltaContext({db_.ScanDelta("r", from, db_.CurrentVersion()),
+                             db_.ScanDelta("s", from, db_.CurrentVersion())},
+                            catalog_);
+  };
+  for (bool computed : {false, true}) {
+    SCOPED_TRACE(computed ? "side evaluation" : "point index");
+    stats_ = MaintainStats{};
+    auto join = NewJoin(/*use_bloom=*/true, computed);
+    ASSERT_TRUE(join->Build(DeltaContext{}).ok());
+    const Tuple r_null = {Value::Int(7), Value::Null()};
+    const Tuple s_null = {Value::Int(4), Value::Null()};
+    for (const auto& rows :
+         std::vector<std::vector<std::pair<std::string, Tuple>>>{
+             {{"r", r_null}}, {{"s", s_null}}, {{"r", r_null}, {"s", s_null}}}) {
+      auto out = ProcessToDelta(*join, insert(rows));
+      ASSERT_TRUE(out.ok());
+      EXPECT_TRUE(out.value().empty()) << out.value().rows.size() << " rows";
+    }
+    EXPECT_EQ(stats_.join_round_trips, 4u);  // no NULL-key delta was pruned
+    if (computed) {
+      EXPECT_EQ(stats_.index_fallback_scans, 4u);
+    } else {
+      EXPECT_EQ(stats_.index_fallback_scans, 0u);
+    }
+  }
 }
 
 TEST_F(JoinFixture, DeletionProducesNegativeDelta) {

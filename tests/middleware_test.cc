@@ -406,5 +406,72 @@ TEST(ReuseContainmentTest, StricterHavingUnderTopK) {
   EXPECT_EQ(r.rows[0], GV(15, 10));
 }
 
+// ---- Equi-join keys never match NULL ---------------------------------------
+//
+// t(a, k) is partitioned on a into [0, 9], [10, 19] and [20, 29], and h(k2,
+// w) holds a row whose key is NULL. The captured sketch is {0}. A t row with
+// a NULL key joins nothing, so inserting one into fragment 2 leaves the
+// answer and the sketch as they were: through the point index when the key
+// is a base column of h, and through side evaluation when it is computed.
+
+void ExpectNullKeyInsertJoinsNothing(const std::string& sql,
+                                     bool side_evaluated) {
+  Database db;
+  Schema t, h;
+  t.AddColumn("a", ValueType::kInt);
+  t.AddColumn("k", ValueType::kInt);
+  h.AddColumn("k2", ValueType::kInt);
+  h.AddColumn("w", ValueType::kInt);
+  ASSERT_TRUE(db.CreateTable("t", t).ok());
+  ASSERT_TRUE(db.CreateTable("h", h).ok());
+  ASSERT_TRUE(db.BulkLoad("t", {GV(5, 1), GV(15, 2)}).ok());
+  ASSERT_TRUE(
+      db.BulkLoad("h", {GV(1, 10), {Value::Null(), Value::Int(20)}}).ok());
+  ImpConfig config;
+  config.mode = ExecutionMode::kIncremental;
+  ImpSystem system(&db, config);
+  ASSERT_TRUE(system
+                  .RegisterPartition(
+                      RangePartition::EquiWidthInt("t", "a", 0, 0, 29, 3))
+                  .ok());
+  ASSERT_TRUE(system.Query(sql).ok());
+  ASSERT_TRUE(system.Update("INSERT INTO t VALUES (25, NULL)").ok());
+
+  auto answer = system.Query(sql);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  auto plain = Executor(&db).Execute(MustBind(db, sql));
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_TRUE(answer.value().SameBag(plain.value()))
+      << "IMP: " << answer.value().ToString()
+      << "plain: " << plain.value().ToString();
+  EXPECT_TRUE(answer.value().SameBag(Relation{plain.value().schema, {GV(5, 1)}}))
+      << answer.value().ToString();
+  auto entries = system.sketches().AllEntries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0]->Snapshot()->sketch.fragments.SetBits(),
+            std::vector<size_t>{0});
+  EXPECT_EQ(system.stats().maintenances, 1u);
+  if (side_evaluated) {
+    EXPECT_GT(system.stats().index_fallback_scans, 0u);
+  } else {
+    EXPECT_EQ(system.stats().index_fallback_scans, 0u);
+  }
+}
+
+TEST(NullJoinKeyTest, PointIndexPathJoinsNothing) {
+  ExpectNullKeyInsertJoinsNothing(
+      "SELECT a, count(*) AS n FROM t JOIN h ON (k = k2) "
+      "GROUP BY a HAVING count(*) > 0",
+      /*side_evaluated=*/false);
+}
+
+TEST(NullJoinKeyTest, SideEvaluationPathJoinsNothing) {
+  ExpectNullKeyInsertJoinsNothing(
+      "SELECT a, count(*) AS n "
+      "FROM t JOIN (SELECT k2 + 0 AS k2, w FROM h) hh ON (k = k2) "
+      "GROUP BY a HAVING count(*) > 0",
+      /*side_evaluated=*/true);
+}
+
 }  // namespace
 }  // namespace imp

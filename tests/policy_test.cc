@@ -196,11 +196,12 @@ TEST(PolicyDecisionTest, EvictionDisabledByZeroThreshold) {
 
 TEST(PolicyLedgerTest, EwmaSeedsWithFirstSampleThenBlends) {
   SketchCostLedger ledger;
-  ledger.ObserveRepair(/*seconds=*/0.1, /*rows=*/100, /*alpha=*/0.5);
+  ledger.ObserveRepair(/*seconds=*/0.1, /*rows=*/100);
   EXPECT_DOUBLE_EQ(ledger.repair_s_per_row, 0.001);  // seeded, not averaged
   EXPECT_TRUE(ledger.has_repair);
-  ledger.ObserveRepair(0.3, 100, 0.5);
-  EXPECT_DOUBLE_EQ(ledger.repair_s_per_row, 0.5 * 0.003 + 0.5 * 0.001);
+  ledger.ObserveRepair(0.3, 100);
+  EXPECT_DOUBLE_EQ(ledger.repair_s_per_row,
+                   kCostEwmaAlpha * 0.003 + (1 - kCostEwmaAlpha) * 0.001);
   EXPECT_EQ(ledger.upkeep_rounds, 2u);
   EXPECT_DOUBLE_EQ(ledger.upkeep_seconds, 0.4);
   EXPECT_EQ(ledger.idle_rounds, 2u);
@@ -209,7 +210,7 @@ TEST(PolicyLedgerTest, EwmaSeedsWithFirstSampleThenBlends) {
 TEST(PolicyLedgerTest, CaptureObservationClearsNeedsRecapture) {
   SketchCostLedger ledger;
   ledger.needs_recapture = true;
-  ledger.ObserveCapture(0.2, 1000, 0.3);
+  ledger.ObserveCapture(0.2, 1000);
   EXPECT_FALSE(ledger.needs_recapture);
   EXPECT_DOUBLE_EQ(ledger.capture_s_per_row, 0.0002);
   EXPECT_TRUE(ledger.has_capture);
@@ -217,9 +218,9 @@ TEST(PolicyLedgerTest, CaptureObservationClearsNeedsRecapture) {
 
 TEST(PolicyLedgerTest, ZeroRowObservationsClampTheDenominator) {
   SketchCostLedger ledger;
-  ledger.ObserveRepair(0.5, 0, 0.3);  // 0 rows must not divide by zero
+  ledger.ObserveRepair(0.5, 0);  // 0 rows must not divide by zero
   EXPECT_DOUBLE_EQ(ledger.repair_s_per_row, 0.5);
-  ledger.ObserveAnnotationHitRate(0.75, 0.3);
+  ledger.ObserveAnnotationHitRate(0.75);
   EXPECT_DOUBLE_EQ(ledger.annotation_hit_rate, 0.75);
 }
 
@@ -632,6 +633,8 @@ SoakSnapshot RunSoak(PolicyMode mode, uint64_t seed) {
       // and must come back bit-identically through readmission.
       auto result = system.Query(queries[0]);
       IMP_CHECK(result.ok());
+      EXPECT_TRUE(result.value().SameBag(RefResult(db, queries[0])))
+          << "step " << step;
       snap.mid_results.push_back(result.value().ToString());
     }
   }
@@ -640,6 +643,8 @@ SoakSnapshot RunSoak(PolicyMode mode, uint64_t seed) {
   for (const std::string& q : queries) {
     auto result = system.Query(q);
     IMP_CHECK(result.ok());
+    EXPECT_TRUE(result.value().SameBag(RefResult(db, q)))
+        << q;
     snap.final_results.push_back(result.value().ToString());
   }
   // After the final readmitting queries, one more round brings every
@@ -663,7 +668,8 @@ TEST(PolicySoakTest, CostBasedMatchesAlwaysIncrementalTwin) {
     const std::string label = "seed " + std::to_string(seed);
 
     // The hard gate: every query result and every sketch is bit-identical
-    // over the same watermarks, whatever the tuned run decided.
+    // over the same watermarks, whatever the tuned run decided (and RunSoak
+    // checks each answer against the plain executor's).
     EXPECT_EQ(fixed.mid_results, tuned.mid_results) << label;
     EXPECT_EQ(fixed.final_results, tuned.final_results) << label;
     ASSERT_EQ(fixed.sketch_bits.size(), tuned.sketch_bits.size()) << label;

@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/random.h"
 #include "exec/executor.h"
 #include "exec/vector_kernels.h"
@@ -352,6 +351,9 @@ TEST(VectorKernelTest, ExecutorMatchesRowAtATimeOracle) {
 }
 
 TEST(VectorKernelTest, CaptureMatchesHandAnnotatedRows) {
+  // Both capture paths: the executor's annotated scan (FM capture) and the
+  // maintainer's IncScan::Build (IMP capture, with its typed fragment
+  // lookup over integer partition bounds).
   Database db;
   LoadSalesExample(&db);
   PartitionCatalog catalog;
@@ -369,52 +371,96 @@ TEST(VectorKernelTest, CaptureMatchesHandAnnotatedRows) {
   EXPECT_TRUE(result.value().ToRelation().SameBag(expected));
   EXPECT_EQ(result.value().SketchUnion().SetBits(), std::vector<size_t>{2});
   EXPECT_GT(exec.scan_stats().vectorized_batches, 0u);
+
+  const Schema& schema = db.GetTable("sales")->schema();
+  MaintainStats stats;
+  IncScan scan("sales",
+               MakeBetween(MakeColumnRef(3, "price", ValueType::kInt),
+                           MakeLiteral(Value::Int(1001)),
+                           MakeLiteral(Value::Int(1500))),
+               &db, &catalog, schema, &stats);
+  auto built = scan.Build(DeltaContext{});
+  ASSERT_TRUE(built.ok());
+  ASSERT_EQ(built.value().rows.size(), 2u);
+  for (const AnnotatedRow& r : built.value().rows) {
+    EXPECT_TRUE(r.row[0] == Value::Int(3) || r.row[0] == Value::Int(5))
+        << TupleToString(r.row);
+    EXPECT_EQ(r.sketch.SetBits(), std::vector<size_t>{2})
+        << TupleToString(r.row);
+  }
+  EXPECT_GT(stats.vectorized_batches, 0u);
 }
 
 TEST(VectorKernelTest, MaintenanceMatchesFreshCaptureAndPlainExecutor) {
-  // One maintainer over the Fig. 5 example under random inserts and
-  // deletes: after every round its sketch equals a fresh capture's, and the
-  // plain executor answers the sketch-filtered plan as it answers the full
-  // one — across filters, joins (bloom pruning) and deletes.
-  Database db;
-  LoadFig5Example(&db);
-  PartitionCatalog catalog;
-  ASSERT_TRUE(catalog.Register(Fig5PartitionR()).ok());
-  ASSERT_TRUE(catalog.Register(Fig5PartitionS()).ok());
-  PlanPtr plan = MustBind(db, kFig5Query);
-  Maintainer maintainer(&db, &catalog, plan);
-  ASSERT_TRUE(maintainer.Initialize().ok());
+  // One maintainer per join shape over the Fig. 5 example under random
+  // inserts (some with NULL join keys) and deletes: after every round its
+  // sketch equals a fresh capture's, and the plain executor answers the
+  // sketch-filtered plan as it answers the full one — across filters, joins
+  // (bloom pruning) and deletes. The direct shape answers every delegated
+  // round trip through the point index; the second shape computes s's key,
+  // so its ΔR ⋈ S round trips evaluate the side plan instead.
+  struct Shape {
+    const char* sql;
+    bool side_evaluated;
+  };
+  const Shape shapes[] = {
+      {kFig5Query, false},
+      {"SELECT a, sum(c) AS sc "
+       "FROM (SELECT a, b FROM r WHERE a > 3) tt "
+       "JOIN (SELECT c, d + 0 AS d FROM s) ss ON (b = d) "
+       "GROUP BY a HAVING sum(c) > 5",
+       true},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.sql);
+    Database db;
+    LoadFig5Example(&db);
+    PartitionCatalog catalog;
+    ASSERT_TRUE(catalog.Register(Fig5PartitionR()).ok());
+    ASSERT_TRUE(catalog.Register(Fig5PartitionS()).ok());
+    PlanPtr plan = MustBind(db, shape.sql);
+    Maintainer maintainer(&db, &catalog, plan);
+    ASSERT_TRUE(maintainer.Initialize().ok());
 
-  Rng rng(46);
-  for (int round = 0; round < 8; ++round) {
-    std::vector<Tuple> r_rows, s_rows;
-    for (int i = 0; i < 5; ++i) {
-      r_rows.push_back(Tuple{Value::Int(rng.UniformInt(1, 10)),
-                             Value::Int(rng.UniformInt(1, 10))});
-      s_rows.push_back(Tuple{Value::Int(rng.UniformInt(1, 15)),
-                             Value::Int(rng.UniformInt(1, 10))});
+    Rng rng(46);
+    auto join_key = [&rng] {
+      return rng.Chance(0.1) ? Value::Null()
+                             : Value::Int(rng.UniformInt(1, 10));
+    };
+    for (int round = 0; round < 8; ++round) {
+      std::vector<Tuple> r_rows, s_rows;
+      for (int i = 0; i < 5; ++i) {
+        r_rows.push_back(Tuple{Value::Int(rng.UniformInt(1, 10)), join_key()});
+        s_rows.push_back(Tuple{Value::Int(rng.UniformInt(1, 15)), join_key()});
+      }
+      ASSERT_TRUE(db.Insert("r", r_rows).ok());
+      ASSERT_TRUE(db.Insert("s", s_rows).ok());
+      if (round % 3 == 2) {
+        int64_t doomed = rng.UniformInt(1, 10);
+        ASSERT_TRUE(Delete(&db, "r", "a = " + std::to_string(doomed)).ok());
+      }
+      ASSERT_TRUE(maintainer.MaintainFromBackend().ok()) << "round " << round;
+      Maintainer fresh(&db, &catalog, plan);
+      auto captured = fresh.Initialize();
+      ASSERT_TRUE(captured.ok()) << "round " << round;
+      EXPECT_EQ(maintainer.sketch().fragments.SetBits(),
+                captured.value().fragments.SetBits())
+          << "round " << round;
+      Executor exec(&db);
+      auto full = exec.Execute(plan);
+      auto filtered =
+          exec.Execute(ApplyUseRewrite(plan, catalog, maintainer.sketch()));
+      ASSERT_TRUE(full.ok() && filtered.ok()) << "round " << round;
+      EXPECT_TRUE(full.value().SameBag(filtered.value())) << "round " << round;
     }
-    ASSERT_TRUE(db.Insert("r", r_rows).ok());
-    ASSERT_TRUE(db.Insert("s", s_rows).ok());
-    if (round % 3 == 2) {
-      int64_t doomed = rng.UniformInt(1, 10);
-      ASSERT_TRUE(Delete(&db, "r", "a = " + std::to_string(doomed)).ok());
+    EXPECT_GT(maintainer.stats().vectorized_batches, 0u);
+    EXPECT_GT(maintainer.stats().join_round_trips, 0u);
+    if (shape.side_evaluated) {
+      EXPECT_GT(maintainer.stats().index_fallback_scans, 0u);
+    } else {
+      EXPECT_EQ(maintainer.stats().index_fallback_scans, 0u);
     }
-    ASSERT_TRUE(maintainer.MaintainFromBackend().ok()) << "round " << round;
-    Maintainer fresh(&db, &catalog, plan);
-    auto captured = fresh.Initialize();
-    ASSERT_TRUE(captured.ok()) << "round " << round;
-    EXPECT_EQ(maintainer.sketch().fragments.SetBits(),
-              captured.value().fragments.SetBits())
-        << "round " << round;
-    Executor exec(&db);
-    auto full = exec.Execute(plan);
-    auto filtered =
-        exec.Execute(ApplyUseRewrite(plan, catalog, maintainer.sketch()));
-    ASSERT_TRUE(full.ok() && filtered.ok()) << "round " << round;
-    EXPECT_TRUE(full.value().SameBag(filtered.value())) << "round " << round;
   }
-  EXPECT_GT(maintainer.stats().vectorized_batches, 0u);
 }
 
 // ---- Column storage oracle --------------------------------------------------
@@ -422,8 +468,8 @@ TEST(VectorKernelTest, MaintenanceMatchesFreshCaptureAndPlainExecutor) {
 // One layout, checked against the Values appended to it: every column type
 // — NULL-heavy ints, doubles with NaN and ±0.0, dictionary strings, strings
 // with more than 256 distinct values (forcing the dictionary-to-flat
-// switch) and an all-NULL column — must read back, min/max, gather, hash
-// and filter exactly as the appended Values do.
+// switch) and an all-NULL column — must read back, min/max, gather and
+// filter exactly as the appended Values do.
 
 // Columns: ti int, td double (NaN, ±0.0, integral, fractional), ds dict
 // string (12 distinct), fs flat string (~4000 distinct), nh NULL-heavy int,
@@ -545,12 +591,9 @@ TEST(ColumnStorageOracleTest, EveryTypeMatchesAppendedValues) {
       ColumnVector::Encoding::kDictString, ColumnVector::Encoding::kFlatString,
       ColumnVector::Encoding::kInt64,      ColumnVector::Encoding::kInt64};
 
-  constexpr uint64_t kSeed = 0x2545f4914f6cdd1dULL;
   for (size_t c = 0; c < 6; ++c) {
     const ColumnVector& cv = chunk.column(c);
     EXPECT_EQ(cv.encoding(), kExpected[c]) << "col " << c;
-    std::vector<uint64_t> hashes(rows.size(), kSeed);
-    cv.AppendKeyHashes(rows.size(), &hashes);
     // Oracle min/max: Value::Compare folded in append order.
     Value min, max;
     bool any = false;
@@ -558,8 +601,6 @@ TEST(ColumnStorageOracleTest, EveryTypeMatchesAppendedValues) {
       const Value& v = rows[r][c];
       ASSERT_TRUE(SameValue(cv.GetValue(r), v)) << "col " << c << " row " << r;
       ASSERT_EQ(cv.IsNull(r), v.is_null()) << "col " << c << " row " << r;
-      ASSERT_EQ(hashes[r], HashCombine(kSeed, v.Hash()))
-          << "col " << c << " row " << r;
       if (v.is_null()) continue;
       if (!any) {
         min = max = v;

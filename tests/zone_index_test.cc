@@ -252,8 +252,9 @@ TEST(HashIndexTest, NumericKeyEquivalenceIntDouble) {
 
 TEST(ShardCarryForwardTest, AppendRebuildOnlyTouchesTheTail) {
   // The tentpole O(delta) property, observed through TableIndexStats: after
-  // a small append, the next probe reuses every sealed chunk's cached shard
-  // and builds at most the COW-tail shard.
+  // a small append, the next point and range probes reuse every sealed
+  // chunk's cached point and ordered shards and build at most the COW-tail
+  // shards.
   Database db;
   ASSERT_TRUE(db.CreateTable("t", TwoColSchema()).ok());
   std::vector<Tuple> rows;
@@ -268,6 +269,8 @@ TEST(ShardCarryForwardTest, AppendRebuildOnlyTouchesTheTail) {
   ASSERT_GE(num_chunks, 4u);
   ASSERT_FALSE(s1->IndexProbe(0, Value::Int(7)).empty());
   EXPECT_EQ(istats.shards_built.load(), num_chunks);
+  ASSERT_FALSE(s1->IndexRangeProbe(0, Value::Int(3), Value::Int(9)).empty());
+  EXPECT_EQ(istats.shards_built.load(), 2 * num_chunks);
   EXPECT_EQ(istats.shards_reused.load(), 0u);
 
   ASSERT_TRUE(db.Insert("t", {Row(7, -1)}).ok());
@@ -276,10 +279,11 @@ TEST(ShardCarryForwardTest, AppendRebuildOnlyTouchesTheTail) {
   EXPECT_TRUE(s2->HasIndex(0));  // warm from s1
   uint64_t built_before = istats.shards_built.load();
   ASSERT_FALSE(s2->IndexProbe(0, Value::Int(7)).empty());
-  // Every chunk s1 and s2 share contributes a reused shard; only the tail
-  // region (COW clone or fresh chunk) needs a new one.
+  ASSERT_FALSE(s2->IndexRangeProbe(0, Value::Int(3), Value::Int(9)).empty());
+  // Every chunk s1 and s2 share contributes a reused shard of each kind;
+  // only the tail region (COW clone or fresh chunk) needs new ones.
   EXPECT_LE(istats.shards_built.load() - built_before, 2u);
-  EXPECT_GE(istats.shards_reused.load(), num_chunks - 1);
+  EXPECT_GE(istats.shards_reused.load(), 2 * (num_chunks - 1));
 }
 
 TEST(ShardCarryForwardTest, DeleteRewritesOnlyTheChunkThatLosesRows) {
