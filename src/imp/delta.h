@@ -91,8 +91,8 @@ struct MaintainStats {
   size_t scalar_fallback_rows = 0;
   // Delegated joins that wanted the backend's point index but had to fall
   // back to a full side evaluation (no stateless chain / no key column
-  // pass-through / indexed joins disabled). Feed for the cost model: a
-  // high count means the O(rows) path is running every round.
+  // pass-through). A high count means the O(rows) path is running every
+  // round.
   size_t index_fallback_scans = 0;
 
   void Reset() { *this = MaintainStats{}; }

@@ -128,6 +128,16 @@ DeltaBatch IncJoin::PruneByBloom(DeltaBatch delta, const BloomFilter& filter,
   }
   BitVector keep;
   filter.MayContainHashes(hashes.data(), hashes.size(), &keep);
+  // A key with a NULL component matches nothing (JoinKeyOf), but every
+  // NULL hashes alike, so the filter passes it whenever the other side
+  // holds a NULL key: drop such rows here instead of shipping them to a
+  // delegated join that cannot emit them.
+  for (const auto& kp : keys_) {
+    const size_t col = left_side ? kp.first : kp.second;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].row[col].is_null()) keep.Reset(i);
+    }
+  }
   ++stats_->vectorized_batches;
   const size_t before = delta.size();
   DeltaBatch out = std::move(delta).FilterWithMask(keep);

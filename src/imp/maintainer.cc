@@ -1,6 +1,5 @@
 #include "imp/maintainer.h"
 
-#include <chrono>
 #include <optional>
 
 #include "common/failpoint.h"
@@ -147,15 +146,11 @@ Result<ProvenanceSketch> Maintainer::Initialize(const ReadView* view) {
   // A (re)build of incremental state from base tables is a capture: it
   // shares the capture failpoint. Fires before any state is touched.
   IMP_FAILPOINT(kFpCapture);
-  const auto build_start = std::chrono::steady_clock::now();
   DeltaContext empty;
   empty.view = view;
   IMP_ASSIGN_OR_RETURN(AnnotatedRelation result, root_->Build(empty));
   merge_ = IncMerge(catalog_->total_fragments());
   merge_.Build(result);
-  last_build_seconds_ = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - build_start)
-                            .count();
   sketch_.fragments = merge_.CurrentSketch();
   sketch_.fragments.Resize(catalog_->total_fragments());
   // Anchor at the view's watermark (the state was built from exactly that

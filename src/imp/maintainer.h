@@ -87,13 +87,6 @@ class Maintainer {
   };
   const FetchStats& last_fetch_stats() const { return last_fetch_stats_; }
 
-  /// Wall seconds of the last Initialize (the state build from base
-  /// tables), measured inside the maintainer so every capture path —
-  /// initial capture, failure escalation, cost-model recapture,
-  /// recapture-on-truncation — feeds the policy ledger the build cost
-  /// alone, without plan/bind overhead from the surrounding call.
-  double last_build_seconds() const { return last_build_seconds_; }
-
   const ProvenanceSketch& sketch() const { return sketch_; }
   uint64_t maintained_version() const { return sketch_.valid_version; }
   const PlanPtr& plan() const { return plan_; }
@@ -139,7 +132,6 @@ class Maintainer {
   std::map<std::string, ExprPtr> pushdown_preds_;
   std::map<std::string, size_t> scan_counts_;
   FetchStats last_fetch_stats_;
-  double last_build_seconds_ = 0;
 };
 
 }  // namespace imp

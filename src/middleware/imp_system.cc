@@ -72,16 +72,6 @@ Result<std::vector<Tuple>> ComputeUpdatedRows(
   IMP_RETURN_NOT_OK(CheckPartitionNotNull(modified, partition_col));
   return modified;
 }
-
-/// Total rows of `tables` in the pinned view — the scale a capture's cost
-/// is normalized against in the policy ledger.
-size_t RowsInView(const ReadView& view, const std::vector<std::string>& tables) {
-  size_t rows = 0;
-  for (const std::string& table : tables) {
-    if (const TableSnapshot* snap = view.Find(table)) rows += snap->num_rows();
-  }
-  return rows;
-}
 }  // namespace
 
 ImpSystem::ImpSystem(Database* db, ImpConfig config)
@@ -184,14 +174,6 @@ Result<SketchEntry*> ImpSystem::TryCreateEntryLocked(
     entry->maintainer = std::make_unique<Maintainer>(db_, &catalog_, plan,
                                                      config_.maintainer);
     IMP_ASSIGN_OR_RETURN(entry->sketch, entry->maintainer->Initialize(&view));
-    if (config_.policy.mode == PolicyMode::kCostBased) {
-      // Seed the capture-cost EWMA from the initial build so the
-      // outgrown-window comparison has a capture sample before any
-      // recapture happened (chicken-and-egg otherwise: the measured rule
-      // could never fire first).
-      entry->ledger.ObserveCapture(entry->maintainer->last_build_seconds(),
-                                   RowsInView(view, entry->tables));
-    }
   } else {
     CaptureEngine capture(db_, &catalog_);
     IMP_ASSIGN_OR_RETURN(entry->sketch, capture.Capture(plan, &view));
@@ -267,19 +249,8 @@ Status ImpSystem::RecaptureEntry(SketchEntry* entry, const ReadView& view) {
   // A successful rebuild from base tables clears any accumulated failure
   // state — recapture is also how a quarantined entry returns to service.
   entry->RecordSuccess();
-  if (config_.mode == ExecutionMode::kIncremental &&
-      config_.policy.mode == PolicyMode::kCostBased) {
-    entry->ledger.ObserveCapture(entry->maintainer->last_build_seconds(),
-                                 RowsInView(view, entry->tables));
-  }
-  {
-    std::lock_guard<std::mutex> stats(stats_mu_);
-    ++stats_.sketch_captures;
-    // Repartition / quarantine repair also returns an evicted or
-    // recapture-flagged entry to normal incremental service.
-    if (entry->policy != SketchPolicy::kIncremental) ++stats_.policy_switches;
-  }
-  entry->policy = SketchPolicy::kIncremental;
+  std::lock_guard<std::mutex> stats(stats_mu_);
+  ++stats_.sketch_captures;
   return Status::OK();
 }
 
@@ -316,7 +287,6 @@ SystemHealth ImpSystem::Health() {
   health.sketches_quarantined = tally.quarantined;
   health.faults_injected =
       FailpointRegistry::Instance().TotalFired() - faults_baseline_;
-  health.policies = sketches_.PolicyStates();
   {
     std::lock_guard<std::mutex> lock(ingest_error_mu_);
     if (!ingest_error_.ok()) health.last_ingest_error = ingest_error_.ToString();
@@ -325,8 +295,7 @@ SystemHealth ImpSystem::Health() {
     // Fold the queue's push-time high-water mark into the stats read path
     // directly: WaitForIngest used to be the only sampling point, which
     // under-reported depth reached while the worker was fail-stopped or
-    // dead-lettering (no apply cycle ever ran to observe it) — and the
-    // policy engine's pressure deferral reads this signal.
+    // dead-lettering (no apply cycle ever ran to observe it).
     std::lock_guard<std::mutex> lock(update_stats_mu_);
     stats_.ingest_queue_peak =
         std::max(stats_.ingest_queue_peak, ingest_queue_->max_depth());
@@ -483,12 +452,6 @@ Result<Relation> ImpSystem::AnswerWithEntry(SketchManager::Shard& shard,
   // would be unchanged), and execution over the view observes exactly
   // that watermark. Nothing here blocks the ingestion worker or a
   // maintenance round, and neither can invalidate what we pinned.
-  //
-  // The benefit signal for the policy engine counts DEMAND — queries that
-  // resolved to this entry, including ones that end up degraded — so a
-  // sketch someone keeps asking for is never evicted for idleness while
-  // it happens to be failing. Lock-free, like the rest of the fast path.
-  entry->uses.fetch_add(1, std::memory_order_relaxed);
   {
     ReadView view = db_->OpenReadView();
     std::shared_ptr<const SketchSnapshot> snapshot = entry->Snapshot();
@@ -530,16 +493,6 @@ Result<Relation> ImpSystem::AnswerWithEntry(SketchManager::Shard& shard,
   // immutable, so nothing can drift between them.
   std::unique_lock<std::shared_mutex> wl(shard.mu);
   ReadView view = db_->OpenReadView();
-  // Readmission: eviction declined upkeep because no query used the
-  // sketch — this query IS the benefit signal, so the entry re-enters
-  // maintenance. Its ledger's needs_recapture flag (set at eviction)
-  // routes the repair below to a rebuild from base tables: the delta log
-  // may have truncated past the evicted version while it wasn't pinned.
-  if (entry->policy == SketchPolicy::kEvicted) {
-    entry->policy = SketchPolicy::kIncremental;
-    std::lock_guard<std::mutex> stats(stats_mu_);
-    ++stats_.policy_switches;
-  }
   // A quarantined entry is not repaired on the query path; for the others
   // the repair's error (if any) lands in the entry's health state — the
   // verdict that matters HERE is only whether the entry ended up current.
@@ -998,29 +951,12 @@ void ImpSystem::ApplyIngestBatch(const std::vector<IngestTask>& batch) {
   for (size_t i = 0; i < batch.size(); ++i) ingest_queue_->TaskDone();
 }
 
-namespace {
-/// Upper bound on an adaptively sized ingestion apply batch.
-constexpr size_t kIngestBatchCeiling = 64;
-}  // namespace
-
 void ImpSystem::IngestWorkerLoop() {
-  const size_t configured = std::max<size_t>(1, config_.ingest_apply_batch);
-  const bool adaptive = config_.policy.mode == PolicyMode::kCostBased &&
-                        config_.policy.adaptive_ingest_batch;
+  const size_t batch_limit = std::max<size_t>(1, config_.ingest_apply_batch);
   std::vector<IngestTask> batch;
   while (std::optional<IngestTask> first = ingest_queue_->Pop()) {
     // Drain up to batch_limit queued statements into one apply cycle; the
     // first pop blocks (idle worker), the rest are opportunistic.
-    size_t batch_limit = configured;
-    if (adaptive) {
-      // Size the cycle from the observed backlog: a deep queue amortizes
-      // one publication per touched table across more statements, a
-      // shallow one stays at the configured floor for per-statement
-      // latency. Drained results are identical for any batch size
-      // (ticket-order apply), so this only moves throughput.
-      batch_limit = std::max(
-          configured, std::min(ingest_queue_->size() + 1, kIngestBatchCeiling));
-    }
     batch.clear();
     batch.push_back(std::move(*first));
     while (batch.size() < batch_limit) {
@@ -1064,40 +1000,9 @@ void ImpSystem::NoteUpdate() {
       config_.eager_batch_size) {
     return;
   }
-  // Cost-based round planning: under ingest-queue pressure the eager
-  // flush waits — the pending counter keeps accumulating, so the next
-  // applied statement re-triggers the decision, and once the queue drains
-  // (or the starvation bound trips) the deferred statements flush in one
-  // round. Explicit MaintainAll() calls never defer.
-  if (ShouldDeferEagerRound()) return;
   // Eagerly maintain every sketch that may be affected (Sec. 2) through
   // the shared batch pipeline; best effort — errors surface on use.
   MaintainAll();
-}
-
-bool ImpSystem::ShouldDeferEagerRound() {
-  if (config_.policy.mode != PolicyMode::kCostBased) return false;
-  if (!ingest_queue_) return false;  // sync ingestion has no backlog signal
-  const size_t depth = ingest_queue_->size();
-  const size_t threshold = static_cast<size_t>(
-      config_.policy.defer_queue_fraction *
-      static_cast<double>(ingest_queue_->capacity()));
-  if (depth <= threshold) {
-    consecutive_deferrals_.store(0, std::memory_order_relaxed);
-    return false;
-  }
-  // Starvation bound: pressure may delay maintenance, never stop it.
-  const size_t prior =
-      consecutive_deferrals_.fetch_add(1, std::memory_order_relaxed);
-  if (prior >= config_.policy.max_consecutive_deferrals) {
-    consecutive_deferrals_.store(0, std::memory_order_relaxed);
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> stats(stats_mu_);
-    ++stats_.rounds_deferred;
-  }
-  return true;
 }
 
 Status ImpSystem::MaintainAll() {
@@ -1221,10 +1126,6 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
   // keys every shared cache below.
   const uint64_t cut = view.watermark();
   const bool incremental = config_.mode == ExecutionMode::kIncremental;
-  // The cost model only decides where a choice exists: incremental mode
-  // (FM recaptures by definition; kNoSketch never reaches here).
-  const bool cost_based =
-      incremental && config_.policy.mode == PolicyMode::kCostBased;
 
   // Round planning (serial): restore evicted maintainers and classify each
   // entry as stale (has pending deltas on a referenced table), merely
@@ -1232,13 +1133,6 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
   struct Item {
     SketchEntry* entry;
     bool stale;
-    // Cost-based planning verdict for this round (kIncremental under
-    // kFixed) and the decision's inputs, kept for the post-round ledger
-    // observation.
-    SketchPolicy decision = SketchPolicy::kIncremental;
-    size_t pending_rows = 0;
-    size_t table_rows = 0;
-    double seconds = 0;  ///< wall time of this item's maintenance work
     // Pre-round snapshot of the maintainer's cumulative zero-copy
     // counters; the post-round diff is rolled up into ImpSystemStats.
     size_t borrowed_before = 0;
@@ -1247,8 +1141,6 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
     size_t vectorized_before = 0;
     size_t fallback_before = 0;
     size_t index_fallback_before = 0;
-    size_t delta_rows_before = 0;
-    size_t recaptures_before = 0;
   };
   std::vector<Item> items;
   items.reserve(entries.size());
@@ -1268,15 +1160,6 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
     if (entry->health == SketchHealth::kStale && entry->retry_after_ms > now) {
       continue;
     }
-    // NOTE the ordering above: the health ladder outranks the cost model.
-    // A quarantined or backing-off entry is excluded before any policy
-    // decision, so a failing sketch can never be recaptured in a storm —
-    // its backoff deadline governs, exactly as under kFixed.
-    if (entry->policy == SketchPolicy::kEvicted) {
-      // Upkeep declined; a query wanting this entry readmits it
-      // (AnswerWithEntry). It no longer pins the delta log.
-      continue;
-    }
     if (entry->consecutive_failures > 0) ++retried_entries;
     Status restored = EnsureMaintainer(entry);
     if (!restored.ok()) {
@@ -1287,38 +1170,7 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
     if (entry->valid_version() >= cut) continue;
     bool stale = EntryIsStaleAt(*entry, entry->valid_version(), view);
     Item item{entry, stale};
-    if (cost_based) {
-      PolicyInputs inputs;
-      inputs.stale = stale;
-      inputs.current_uses = entry->uses.load(std::memory_order_relaxed);
-      if (stale) {
-        for (const std::string& table : entry->tables) {
-          item.pending_rows +=
-              db_->PendingDeltaCount(table, entry->valid_version());
-        }
-        item.table_rows = RowsInView(view, entry->tables);
-        inputs.pending_delta_rows = item.pending_rows;
-        inputs.table_rows = item.table_rows;
-      }
-      item.decision = DecideMaintenance(config_.policy, &entry->ledger, inputs);
-      if (item.decision != entry->policy) {
-        entry->policy = item.decision;
-        std::lock_guard<std::mutex> stats(stats_mu_);
-        ++stats_.policy_switches;
-        if (item.decision == SketchPolicy::kEvicted) ++stats_.sketches_evicted;
-      }
-      if (item.decision == SketchPolicy::kEvicted) {
-        // From here the log may truncate past this entry (MinValidVersion
-        // no longer counts it), so readmission must rebuild from base
-        // tables — record that before declining the round.
-        entry->ledger.needs_recapture = true;
-        continue;
-      }
-    }
-    // Recapture items rebuild from the view and never read the shared
-    // delta cache, so only repair-bound stale items ask for prefetch.
-    stale_count +=
-        (stale && item.decision != SketchPolicy::kRecapture) ? 1 : 0;
+    stale_count += stale ? 1 : 0;
     if (entry->maintainer != nullptr) {
       const MaintainStats& mstats = entry->maintainer->stats();
       item.borrowed_before = mstats.deltas_borrowed;
@@ -1327,8 +1179,6 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
       item.vectorized_before = mstats.vectorized_batches;
       item.fallback_before = mstats.scalar_fallback_rows;
       item.index_fallback_before = mstats.index_fallback_scans;
-      item.delta_rows_before = mstats.delta_rows_processed;
-      item.recaptures_before = mstats.recaptures;
     }
     items.push_back(item);
   }
@@ -1347,7 +1197,7 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
   MaintenanceBatch batch(db_, &catalog_, cut, &view);
   if (shared) {
     for (const Item& item : items) {
-      if (!item.stale || item.decision == SketchPolicy::kRecapture) continue;
+      if (!item.stale) continue;
       for (const std::string& table : item.entry->tables) {
         batch.Prefetch(table, item.entry->valid_version());
       }
@@ -1365,7 +1215,6 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
   Status pool_error =
       MaintenancePool().ParallelFor(items.size(), [&](size_t i) {
     SketchEntry* entry = items[i].entry;
-    auto item_start = std::chrono::steady_clock::now();
     // Per-item exception wall: an escaped exception becomes THIS item's
     // status (health machine + backoff), not the whole round's — and
     // never reaches the pool's worker thread.
@@ -1381,27 +1230,13 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
         }
         return;
       }
-      if (config_.retain_sketch_history) {
-        entry->history.push_back(entry->sketch);
-      }
       if (incremental) {
-        if (items[i].decision == SketchPolicy::kRecapture) {
-          // Cost-model recapture: the delta window outgrew the sketch, so
-          // rebuild the operator state from base tables through the
-          // round's pinned view instead of replaying a repair that costs
-          // more than the capture. Initialize anchors at the view's
-          // watermark — the same cut a repair would have reached.
-          Result<ProvenanceSketch> rebuilt = entry->maintainer->Initialize(&view);
-          statuses[i] = rebuilt.status();
-          if (rebuilt.ok()) entry->sketch = std::move(rebuilt).value();
-        } else {
-          Result<SketchDelta> result =
-              shared ? entry->maintainer->MaintainAnnotated(
-                           batch.ContextFor(*entry->maintainer), cut)
-                     : entry->maintainer->MaintainFromBackend(cut, &view);
-          statuses[i] = result.status();
-          if (result.ok()) entry->sketch = entry->maintainer->sketch();
-        }
+        Result<SketchDelta> result =
+            shared ? entry->maintainer->MaintainAnnotated(
+                         batch.ContextFor(*entry->maintainer), cut)
+                   : entry->maintainer->MaintainFromBackend(cut, &view);
+        statuses[i] = result.status();
+        if (result.ok()) entry->sketch = entry->maintainer->sketch();
       } else {
         // Full maintenance: re-run the capture query (Sec. 1) over the
         // round's pinned view, anchoring at the frozen cut.
@@ -1418,7 +1253,6 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
     }
     if (statuses[i].ok()) entry->PublishSnapshot();
     maintained[i] = statuses[i].ok() ? 1 : 0;
-    items[i].seconds = SecondsSince(item_start);
   });
   // The per-item walls above make an escaped exception from the pool
   // itself unreachable; fold it into the round's error just in case.
@@ -1435,42 +1269,6 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
     }
   }
 
-  // Ledger observation, serial under the shard write lock: feed the EWMAs
-  // the round's measured per-item costs. Fast-forwards are skipped (their
-  // near-zero samples would drag the repair estimate toward zero without
-  // representing any repair), and a repair that recaptured INTERNALLY
-  // (truncated buffer ran dry) is observed as a capture — its cost scaled
-  // with the table, not the delta.
-  if (cost_based) {
-    double round_hit_rate = -1.0;
-    if (shared) {
-      MaintenanceBatchStats bstats = batch.stats();
-      const size_t lookups = bstats.annotation_hits + bstats.annotation_passes;
-      if (lookups > 0) {
-        round_hit_rate =
-            static_cast<double>(bstats.annotation_hits) / lookups;
-      }
-    }
-    for (size_t i = 0; i < items.size(); ++i) {
-      Item& item = items[i];
-      if (!item.stale) continue;
-      if (!statuses[i].ok() || item.entry->maintainer == nullptr) continue;
-      const MaintainStats& mstats = item.entry->maintainer->stats();
-      const bool captured = item.decision == SketchPolicy::kRecapture ||
-                            mstats.recaptures > item.recaptures_before;
-      if (captured) {
-        item.entry->ledger.ObserveCapture(
-            item.entry->maintainer->last_build_seconds(), item.table_rows);
-      } else {
-        item.entry->ledger.ObserveRepair(
-            item.seconds, mstats.delta_rows_processed - item.delta_rows_before);
-      }
-      if (round_hit_rate >= 0) {
-        item.entry->ledger.ObserveAnnotationHitRate(round_hit_rate);
-      }
-    }
-  }
-
   {
     std::lock_guard<std::mutex> stats(stats_mu_);
     // Wall-clock time of the round (prefetch + fan-out), not the sum of
@@ -1480,12 +1278,6 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
     stats_.maintenance_retries += retried_entries;
     for (size_t i = 0; i < items.size(); ++i) {
       if (maintained[i]) ++stats_.maintenances;
-      if (maintained[i] && items[i].decision == SketchPolicy::kRecapture) {
-        // A cost-model recapture is a capture-query execution like the
-        // escalation path's, plus its own counter for the bench gates.
-        ++stats_.policy_recaptures;
-        ++stats_.sketch_captures;
-      }
       if (items[i].entry->maintainer != nullptr) {
         const MaintainStats& mstats = items[i].entry->maintainer->stats();
         stats_.deltas_borrowed +=

@@ -106,8 +106,6 @@ struct ImpConfig {
   size_t eager_batch_size = 1;
   /// Incremental engine tunables (bloom filters, push-down, buffers).
   MaintainerOptions maintainer;
-  /// Keep superseded sketch versions (Sec. 2 immutable-sketch versioning).
-  bool retain_sketch_history = false;
   /// Batched maintenance: scan + annotate each referenced table's pending
   /// delta once per round (shared annotation cache) and hand per-sketch
   /// filtered views to the maintainers, instead of one backend log scan
@@ -136,19 +134,6 @@ struct ImpConfig {
   /// still applied and retired in ticket order, so drained results are
   /// identical for any batch size.
   size_t ingest_apply_batch = 1;
-
-  // --- Self-tuning maintenance policies (middleware/policy.h) -------------
-  // PolicyMode::kCostBased turns the knobs above from hand-picked into
-  // per-sketch / per-round decisions driven by observed costs: an EWMA
-  // cost ledger per sketch chooses incremental repair vs FM recapture
-  // (outgrown delta window) vs eviction (upkeep with no query benefit),
-  // eager flushes defer under ingest-queue pressure, and the ingestion
-  // worker sizes apply batches from the backlog. Decisions only change
-  // WHEN/HOW sketches refresh — query results stay bit-identical to
-  // kFixed (the default, preserving today's behaviour exactly) over the
-  // same pinned view. Only meaningful in kIncremental mode; the health
-  // ladder above outranks every policy decision.
-  PolicyConfig policy;
 
   // --- Fault handling & graceful degradation ------------------------------
   // The failure posture throughout: sketches are a pure accelerator, so a
@@ -261,15 +246,6 @@ struct ImpSystemStats {
   size_t ingest_dead_letters = 0;   ///< statements dead-lettered (lifetime)
   size_t publish_retries = 0;       ///< worker publish cycles that needed
                                     ///< retry or force
-  // Self-tuning policy counters (all zero under PolicyMode::kFixed).
-  size_t policy_switches = 0;    ///< per-sketch policy transitions applied
-  size_t policy_recaptures = 0;  ///< recaptures the COST MODEL chose (the
-                                 ///< ladder's failure escalations and
-                                 ///< truncation recaptures count elsewhere)
-  size_t rounds_deferred = 0;    ///< eager flushes deferred under queue
-                                 ///< pressure
-  size_t sketches_evicted = 0;   ///< entries whose upkeep was declined
-                                 ///< (cumulative; readmission re-switches)
   double capture_seconds = 0;
   double maintain_seconds = 0;
   double query_seconds = 0;      ///< instrumented/plain query execution
@@ -298,10 +274,6 @@ struct SystemHealth {
   size_t sketches_quarantined = 0;
   size_t faults_injected = 0;        ///< failpoint fires since construction
   std::string last_ingest_error;     ///< first deferred error ("" = none)
-  /// Per-sketch policy state (cost EWMAs, idle window, current policy) in
-  /// deterministic store order. Populated in every mode; the ledger fields
-  /// only move under PolicyMode::kCostBased.
-  std::vector<SketchPolicyState> policies;
 };
 
 /// One statement the ingestion worker gave up on (poisoned): kept out of
@@ -471,12 +443,6 @@ class ImpSystem {
   /// Eager-strategy bookkeeping; runs on the caller (sync) or the
   /// ingestion worker (async), after the statement is applied.
   void NoteUpdate();
-  /// Cost-based round planner: true when this eager flush should wait —
-  /// the ingest queue is above config.policy.defer_queue_fraction of its
-  /// capacity and the starvation bound (max_consecutive_deferrals) has
-  /// not been hit. Counts stats_.rounds_deferred. Always false under
-  /// PolicyMode::kFixed and for explicit MaintainAll calls.
-  bool ShouldDeferEagerRound();
   /// Index of `table`'s partition attribute (NOT NULL), or SIZE_MAX when
   /// the table is unpartitioned. Takes the shared front-end lock, so never
   /// call it while holding a write stripe.
@@ -534,9 +500,6 @@ class ImpSystem {
   /// on the ingestion worker (async) or producer threads (sync), reset by
   /// the maintenance round that flushes it.
   std::atomic<size_t> pending_update_statements_{0};
-  /// Pressure deferrals taken since the last non-deferred eager round
-  /// (ShouldDeferEagerRound's starvation bound).
-  std::atomic<size_t> consecutive_deferrals_{0};
   std::unique_ptr<ThreadPool> maintenance_pool_;
   std::once_flag maintenance_pool_once_;
   /// Top of the lock hierarchy. Shared: the whole sketch-touching front

@@ -99,10 +99,6 @@ uint64_t SketchManager::MinValidVersion() const {
         // recapture, not log replay — they must not pin the log (see
         // header).
         if (entry->health == SketchHealth::kQuarantined) continue;
-        // Same for policy-evicted entries: upkeep was declined, and
-        // readmission recaptures (ledger.needs_recapture), so they must
-        // not keep the log from truncating.
-        if (entry->policy == SketchPolicy::kEvicted) continue;
         if (entry->sketch.valid_version < min_valid) {
           min_valid = entry->sketch.valid_version;
         }
@@ -135,29 +131,6 @@ SketchManager::HealthTally SketchManager::TallyHealth() const {
   return tally;
 }
 
-std::vector<SketchPolicyState> SketchManager::PolicyStates() const {
-  std::vector<SketchPolicyState> out;
-  for (Shard* shard : Shards()) {
-    std::shared_lock<std::shared_mutex> lock(shard->mu);
-    for (const auto& [_, bucket] : shard->buckets) {
-      for (const auto& entry : bucket) {
-        SketchPolicyState state;
-        state.state_key = entry->state_key;
-        state.policy = entry->policy;
-        state.repair_s_per_row = entry->ledger.repair_s_per_row;
-        state.capture_s_per_row = entry->ledger.capture_s_per_row;
-        state.annotation_hit_rate = entry->ledger.annotation_hit_rate;
-        state.upkeep_seconds = entry->ledger.upkeep_seconds;
-        state.upkeep_rounds = entry->ledger.upkeep_rounds;
-        state.idle_rounds = entry->ledger.idle_rounds;
-        state.uses = entry->uses.load(std::memory_order_relaxed);
-        out.push_back(std::move(state));
-      }
-    }
-  }
-  return out;
-}
-
 size_t SketchManager::MemoryBytes() const {
   size_t bytes = 0;
   for (Shard* shard : Shards()) {
@@ -166,9 +139,6 @@ size_t SketchManager::MemoryBytes() const {
       bytes += key.size();
       for (const auto& entry : bucket) {
         bytes += entry->sketch.MemoryBytes();
-        for (const ProvenanceSketch& old : entry->history) {
-          bytes += old.MemoryBytes();
-        }
         if (entry->maintainer) bytes += entry->maintainer->StateBytes();
       }
     }

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "imp/maintainer.h"
-#include "middleware/policy.h"
 #include "sketch/capture.h"
 #include "sketch/sketch.h"
 
@@ -55,9 +54,10 @@ enum class SketchHealth : uint8_t {
 };
 
 /// One managed sketch. In incremental mode the Maintainer owns the sketch
-/// and operator state; in full-maintenance mode only the sketch versions
-/// are kept and staleness triggers recapture. Sketches are treated as
-/// immutable: old versions are retained in `history`.
+/// and operator state; in full-maintenance mode only the sketch is kept
+/// and staleness triggers recapture. Sketch versions are immutable: each
+/// one is published as a SketchSnapshot, which stays valid for as long as
+/// a reader holds it.
 ///
 /// Locking: every field except the published snapshot is maintenance-side
 /// state, written only under the owning shard's WRITE lock (`sketch` is
@@ -76,7 +76,6 @@ struct SketchEntry {
   std::unique_ptr<Maintainer> maintainer;  ///< incremental mode only
   bool state_evicted = false;   ///< maintainer state lives in the backend
   ProvenanceSketch sketch;      ///< working copy (mirrors maintainer's)
-  std::vector<ProvenanceSketch> history;  ///< retained past versions
 
   // --- Health state machine (written under the shard WRITE lock) ----------
   // kFresh --failure--> kStale --(recapture_after_failures)--> recapture
@@ -106,16 +105,6 @@ struct SketchEntry {
     retry_after_ms = 0;
     last_error.clear();
   }
-
-  // --- Self-tuning policy state (middleware/policy.h) ---------------------
-  // `policy` and `ledger` are maintenance-side like the health fields:
-  // written only under the shard WRITE lock (round planning / post-round
-  // cost observation / query-path readmission). `uses` is the lock-free
-  // benefit signal: the read path bumps it for every query that WANTS this
-  // sketch, with no shard lock held.
-  SketchPolicy policy = SketchPolicy::kIncremental;
-  SketchCostLedger ledger;
-  std::atomic<size_t> uses{0};
 
   uint64_t valid_version() const { return sketch.valid_version; }
 
@@ -208,9 +197,6 @@ class SketchManager {
   /// are EXCLUDED: they repair by recapturing from base tables, never by
   /// replaying the log, so they must not pin it (a wedged sketch holding
   /// the log forever would turn one fault into unbounded memory growth).
-  /// Policy-EVICTED entries are excluded for the same reason: eviction
-  /// declines upkeep, so the log may truncate past them — which is why
-  /// readmission always routes through a recapture (ledger.needs_recapture).
   uint64_t MinValidVersion() const;
 
   /// Per-state entry counts (one shared-locked walk; health fields are
@@ -221,10 +207,6 @@ class SketchManager {
     size_t quarantined = 0;
   };
   HealthTally TallyHealth() const;
-
-  /// Per-sketch policy snapshots for Health() (one shared-locked walk, in
-  /// deterministic shard/bucket order).
-  std::vector<SketchPolicyState> PolicyStates() const;
 
   /// Drop every shard's unsketchable negative cache (the partition
   /// catalog changed). Caller excludes concurrent shard users (the

@@ -552,10 +552,12 @@ TEST_F(JoinFixture, DeltaDeltaTermNotDoubleCounted) {
 
 TEST_F(JoinFixture, NullKeyDeltaJoinsNothingOnEitherPath) {
   // r and s each hold a row whose join key is NULL, so the bloom filters
-  // let NULL-key deltas through to the round trip. A NULL key equals
-  // nothing, itself included: a NULL-key delta on either side, alone or
-  // with one on the other side in the same batch, joins nothing, through
-  // the point index (direct keys) and through side evaluation (computed).
+  // alone would pass NULL-key deltas. A NULL key equals nothing, itself
+  // included: a NULL-key delta on either side, alone or with one on the
+  // other side in the same batch, joins nothing, through the point index
+  // (direct keys) and through side evaluation (computed keys). With bloom
+  // filters it is pruned before any delegated join; without them it takes
+  // the round trip, and the delegated join must still emit nothing.
   ASSERT_TRUE(db_.Insert("r", {{Value::Int(5), Value::Null()}}).ok());
   ASSERT_TRUE(db_.Insert("s", {{Value::Int(3), Value::Null()}}).ok());
   auto insert = [&](const std::vector<std::pair<std::string, Tuple>>& rows) {
@@ -567,25 +569,32 @@ TEST_F(JoinFixture, NullKeyDeltaJoinsNothingOnEitherPath) {
                              db_.ScanDelta("s", from, db_.CurrentVersion())},
                             catalog_);
   };
-  for (bool computed : {false, true}) {
-    SCOPED_TRACE(computed ? "side evaluation" : "point index");
-    stats_ = MaintainStats{};
-    auto join = NewJoin(/*use_bloom=*/true, computed);
-    ASSERT_TRUE(join->Build(DeltaContext{}).ok());
-    const Tuple r_null = {Value::Int(7), Value::Null()};
-    const Tuple s_null = {Value::Int(4), Value::Null()};
-    for (const auto& rows :
-         std::vector<std::vector<std::pair<std::string, Tuple>>>{
-             {{"r", r_null}}, {{"s", s_null}}, {{"r", r_null}, {"s", s_null}}}) {
-      auto out = ProcessToDelta(*join, insert(rows));
-      ASSERT_TRUE(out.ok());
-      EXPECT_TRUE(out.value().empty()) << out.value().rows.size() << " rows";
-    }
-    EXPECT_EQ(stats_.join_round_trips, 4u);  // no NULL-key delta was pruned
-    if (computed) {
-      EXPECT_EQ(stats_.index_fallback_scans, 4u);
-    } else {
-      EXPECT_EQ(stats_.index_fallback_scans, 0u);
+  for (bool use_bloom : {true, false}) {
+    for (bool computed : {false, true}) {
+      SCOPED_TRACE(std::string(use_bloom ? "bloom, " : "no bloom, ") +
+                   (computed ? "side evaluation" : "point index"));
+      stats_ = MaintainStats{};
+      auto join = NewJoin(use_bloom, computed);
+      ASSERT_TRUE(join->Build(DeltaContext{}).ok());
+      const Tuple r_null = {Value::Int(7), Value::Null()};
+      const Tuple s_null = {Value::Int(4), Value::Null()};
+      for (const auto& rows :
+           std::vector<std::vector<std::pair<std::string, Tuple>>>{
+               {{"r", r_null}},
+               {{"s", s_null}},
+               {{"r", r_null}, {"s", s_null}}}) {
+        auto out = ProcessToDelta(*join, insert(rows));
+        ASSERT_TRUE(out.ok());
+        EXPECT_TRUE(out.value().empty()) << out.value().rows.size() << " rows";
+      }
+      if (use_bloom) {
+        EXPECT_EQ(stats_.join_round_trips, 0u);
+        EXPECT_EQ(stats_.index_fallback_scans, 0u);
+        EXPECT_EQ(stats_.bloom_pruned_rows, 4u);
+      } else {
+        EXPECT_EQ(stats_.join_round_trips, 4u);
+        EXPECT_EQ(stats_.index_fallback_scans, computed ? 4u : 0u);
+      }
     }
   }
 }
