@@ -1,8 +1,8 @@
 // Failpoints: named fault-injection sites compiled into the pipeline
-// (ingest apply, maintenance rounds, capture, snapshot publication) that
-// tests, benches and CI can arm to force an error exactly where a real
-// fault would surface — and assert the system degrades instead of
-// corrupting, deadlocking or aborting.
+// (maintenance rounds, capture, snapshot publication) that tests, benches
+// and CI can arm to force an error exactly where a real fault would
+// surface — and assert the system degrades instead of corrupting,
+// deadlocking or aborting.
 //
 // Design:
 //  * A failpoint is a process-global named object resolved ONCE per call
@@ -21,12 +21,13 @@
 //      trigger := 'off' | 'once' | 'always' | 'times:K' | 'nth:N'
 //               | 'prob:P' | 'prob:P:SEED'
 //
-//    e.g. IMP_FAILPOINTS="ingest.apply=once;maintain.round=nth:3".
+//    e.g. IMP_FAILPOINTS="snapshot.publish=once;maintain.round=nth:3".
 //
 // A fired failpoint makes the surrounding operation return
 // Status::Internal("failpoint fired: <name>") — the same shape a genuine
-// fault would take — so every handler downstream (retry, backoff,
-// quarantine, dead-letter) is exercised through its production path.
+// fault would take — so every handler downstream (publication retry,
+// backoff, escalation, quarantine) is exercised through its production
+// path.
 
 #ifndef IMP_COMMON_FAILPOINT_H_
 #define IMP_COMMON_FAILPOINT_H_
@@ -143,18 +144,7 @@ class FailpointRegistry {
     }                                                                     \
   } while (0)
 
-// Expression form for sites that need custom handling (retry loops,
-// throw-to-simulate-crash): true iff the named failpoint fires now.
-#define IMP_FAILPOINT_HIT(point_name)                                     \
-  ([]() -> bool {                                                         \
-    static ::imp::Failpoint& imp_failpoint_site =                         \
-        ::imp::FailpointRegistry::Instance().GetOrCreate(point_name);     \
-    return imp_failpoint_site.ShouldFire();                               \
-  }())
-
 // The pipeline's named failpoints (shared by sites, tests and CI specs).
-inline constexpr const char* kFpIngestApply = "ingest.apply";
-inline constexpr const char* kFpIngestWorkerCrash = "ingest.worker_crash";
 inline constexpr const char* kFpMaintainRound = "maintain.round";
 inline constexpr const char* kFpCapture = "capture";
 inline constexpr const char* kFpSnapshotPublish = "snapshot.publish";

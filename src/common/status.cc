@@ -21,8 +21,6 @@ const char* CodeName(StatusCode code) {
       return "Internal";
     case StatusCode::kNeedsRecapture:
       return "NeedsRecapture";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
   }
   return "Unknown";
 }

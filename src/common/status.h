@@ -22,8 +22,6 @@ enum class StatusCode {
   kNotImplemented,
   kInternal,
   kNeedsRecapture,  ///< Incremental state can no longer answer; recapture.
-  kUnavailable,     ///< Degraded subsystem (dead worker, full queue, ...);
-                    ///< retry later or route around — not a logic error.
 };
 
 /// Lightweight status object; cheap to copy when OK.
@@ -54,9 +52,6 @@ class Status {
   }
   static Status NeedsRecapture(std::string msg) {
     return Status(StatusCode::kNeedsRecapture, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

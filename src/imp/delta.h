@@ -94,8 +94,6 @@ struct MaintainStats {
   // pass-through). A high count means the O(rows) path is running every
   // round.
   size_t index_fallback_scans = 0;
-
-  void Reset() { *this = MaintainStats{}; }
 };
 
 /// A delta batch flowing through the incremental operator chain.
@@ -259,9 +257,9 @@ struct DeltaContext {
   /// performs while consuming this context (capture builds, delegated
   /// join round trips, index probes) goes through these snapshots, so the
   /// whole round observes the one frozen watermark its cut was taken at —
-  /// even while the ingestion worker publishes concurrently. Null (tests,
-  /// the empty fast-forward round) falls back to each table's currently
-  /// published snapshot. The view must outlive the context.
+  /// even while writers publish concurrently. Null (tests, the empty
+  /// fast-forward round) falls back to each table's currently published
+  /// snapshot. The view must outlive the context.
   const ReadView* view = nullptr;
 
   const DeltaBatch* FindBatch(const std::string& table) const {

@@ -71,7 +71,7 @@ class Maintainer {
   /// records are visible, so a cut at the stable watermark never observes
   /// a statement that is still being applied. `view` (pinned at the cut)
   /// is what delegated joins and recapture-on-truncation read through, so
-  /// the round stays at one watermark even under concurrent ingestion.
+  /// the round stays at one watermark even under concurrent writers.
   Result<SketchDelta> MaintainFromBackend(uint64_t cut_version,
                                           const ReadView* view = nullptr);
   /// Convenience: cut at the database's stable watermark.
@@ -114,7 +114,6 @@ class Maintainer {
   Status RestoreState(const std::string& blob);
 
   const MaintainStats& stats() const { return stats_; }
-  MaintainStats* mutable_stats() { return &stats_; }
 
  private:
   std::unique_ptr<IncOperator> BuildOperator(const PlanPtr& plan);

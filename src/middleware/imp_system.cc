@@ -1,9 +1,7 @@
 #include "middleware/imp_system.h"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
-#include <optional>
 
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
@@ -52,9 +50,7 @@ Status CheckPartitionNotNull(const TableSnapshot& snap, size_t col) {
 /// `selection` picks + INSERT these): each picked row of the table's
 /// current state with the SET expressions applied, checked like an
 /// INSERT's rows (ConformRows, NOT NULL `partition_col`) before the caller
-/// stages the delete half, so a rejected UPDATE changes nothing. Shared by
-/// the synchronous apply path and the ingestion worker so the two can
-/// never diverge.
+/// stages the delete half, so a rejected UPDATE changes nothing.
 Result<std::vector<Tuple>> ComputeUpdatedRows(
     const Table& table, const BoundUpdate& update,
     const std::vector<BitVector>& selection, size_t partition_col) {
@@ -83,14 +79,7 @@ ImpSystem::ImpSystem(Database* db, ImpConfig config)
     Status armed = FailpointRegistry::Instance().ArmFromSpec(config_.failpoints);
     IMP_CHECK_MSG(armed.ok(), "bad ImpConfig::failpoints spec");
   }
-  if (config_.async_ingestion) {
-    ingest_queue_ = std::make_unique<IngestionQueue<IngestTask>>(
-        config_.ingest_queue_capacity);
-    ingest_worker_ = std::thread([this] { IngestWorkerLoop(); });
-  }
 }
-
-ImpSystem::~ImpSystem() { StopIngestWorker(); }
 
 uint64_t ImpSystem::NowMs() const {
   if (config_.clock_ms) return config_.clock_ms();
@@ -98,12 +87,6 @@ uint64_t ImpSystem::NowMs() const {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-void ImpSystem::StopIngestWorker() {
-  if (!ingest_queue_) return;
-  ingest_queue_->Close();
-  if (ingest_worker_.joinable()) ingest_worker_.join();
 }
 
 Status ImpSystem::RegisterPartition(RangePartition partition) {
@@ -168,7 +151,7 @@ Result<SketchEntry*> ImpSystem::TryCreateEntryLocked(
 
   auto start = std::chrono::steady_clock::now();
   // Capture over a pinned view: the state is built from exactly the
-  // watermark the sketch anchors at, while ingestion publishes freely.
+  // watermark the sketch anchors at, while writers publish freely.
   ReadView view = db_->OpenReadView();
   if (config_.mode == ExecutionMode::kIncremental) {
     entry->maintainer = std::make_unique<Maintainer>(db_, &catalog_, plan,
@@ -273,39 +256,17 @@ Status ImpSystem::RepairQuarantined() {
 
 SystemHealth ImpSystem::Health() {
   SystemHealth health;
-  health.ingest_worker_alive =
-      !config_.async_ingestion ||
-      !ingest_worker_dead_.load(std::memory_order_acquire);
-  health.ingest_queue_depth = ingest_queue_ ? ingest_queue_->size() : 0;
-  {
-    std::lock_guard<std::mutex> lock(dead_letter_mu_);
-    health.dead_letter_size = dead_letters_.size();
-  }
   SketchManager::HealthTally tally = sketches_.TallyHealth();
   health.sketches_fresh = tally.fresh;
   health.sketches_stale = tally.stale;
   health.sketches_quarantined = tally.quarantined;
   health.faults_injected =
       FailpointRegistry::Instance().TotalFired() - faults_baseline_;
-  {
-    std::lock_guard<std::mutex> lock(ingest_error_mu_);
-    if (!ingest_error_.ok()) health.last_ingest_error = ingest_error_.ToString();
-  }
-  if (ingest_queue_) {
-    // Fold the queue's push-time high-water mark into the stats read path
-    // directly: WaitForIngest used to be the only sampling point, which
-    // under-reported depth reached while the worker was fail-stopped or
-    // dead-lettering (no apply cycle ever ran to observe it).
-    std::lock_guard<std::mutex> lock(update_stats_mu_);
-    stats_.ingest_queue_peak =
-        std::max(stats_.ingest_queue_peak, ingest_queue_->max_depth());
-  }
   // Refresh the snapshot-style stats fields from the same readings.
   {
     Database::IndexStatsSnapshot istats = db_->AggregateIndexStats();
     std::lock_guard<std::mutex> stats(stats_mu_);
     stats_.faults_injected = health.faults_injected;
-    stats_.dead_letter_size = health.dead_letter_size;
     stats_.index_shards_built = istats.shards_built;
     stats_.index_shards_reused = istats.shards_reused;
     stats_.index_point_probes = istats.point_probes;
@@ -350,11 +311,11 @@ Status ImpSystem::RepartitionTable(const std::string& table,
   // which templates are sketchable. Conservative if a step below fails.
   sketches_.ClearUnsketchable();
   // On the STORAGE side only the affected table freezes, and only
-  // briefly: its write stripe blocks that table's appliers just long
+  // briefly: its write stripe blocks that table's writers just long
   // enough to read the histogram values and pin the view against the
-  // identical state of `table` — ingestion into OTHER tables keeps
-  // flowing throughout, and this table's resumes as soon as the view is
-  // pinned below. This replaces the old whole-backend read session.
+  // identical state of `table` — writers of OTHER tables keep going
+  // throughout, and this table's resume as soon as the view is pinned
+  // below.
   auto stripe = db_->WriteSession(table);
   const Table* t = db_->GetTable(table);
   auto idx = t->schema().IndexOf(attribute);
@@ -377,11 +338,10 @@ Status ImpSystem::RepartitionTable(const std::string& table,
   ReadView view = db_->OpenReadView();
   // The stripe only had to keep the histogram values and the pinned view's
   // snapshot of `table` identical; both are frozen now, so release it
-  // before the (potentially long) recapture loop — a blocked ingestion
-  // worker would otherwise stall every table's ingestion for the whole
-  // repartition. Recaptures read the immutable view, so concurrently
-  // published statements merely leave the new sketches stale-and-
-  // maintainable.
+  // before the (potentially long) recapture loop — writers of `table`
+  // would otherwise stall for the whole repartition. Recaptures read the
+  // immutable view, so concurrently published statements merely leave the
+  // new sketches stale-and-maintainable.
   stripe.unlock();
   Status first_error = registered;
   for (SketchEntry* entry : entries) {
@@ -450,8 +410,8 @@ Result<Relation> ImpSystem::AnswerWithEntry(SketchManager::Shard& shard,
   // serialized round would classify the entry non-stale and only
   // fast-forward its version; the fragment set — all the rewrite reads —
   // would be unchanged), and execution over the view observes exactly
-  // that watermark. Nothing here blocks the ingestion worker or a
-  // maintenance round, and neither can invalidate what we pinned.
+  // that watermark. Nothing here blocks a writer or a maintenance round,
+  // and neither can invalidate what we pinned.
   {
     ReadView view = db_->OpenReadView();
     std::shared_ptr<const SketchSnapshot> snapshot = entry->Snapshot();
@@ -609,7 +569,7 @@ size_t ImpSystem::PartitionColumn(const std::string& table) {
   return part == nullptr ? SIZE_MAX : part->attr_index();
 }
 
-Result<uint64_t> ImpSystem::ApplySyncBound(const BoundUpdate& update) {
+Result<uint64_t> ImpSystem::ApplyBound(const BoundUpdate& update) {
   switch (update.kind) {
     case BoundUpdate::Kind::kInsert:
       // Insert/DeleteWhere take the table's write stripe internally; readers
@@ -620,9 +580,8 @@ Result<uint64_t> ImpSystem::ApplySyncBound(const BoundUpdate& update) {
     case BoundUpdate::Kind::kUpdate: {
       // UPDATE = DELETE matching rows + INSERT the modified rows, computed
       // and applied under ONE hold of the table's stripe so no other
-      // writer can slip between the halves (the old global write session's
-      // guarantee, now scoped to the one table). One selection serves
-      // both: it names the rows to rewrite and the rows to erase.
+      // writer can slip between the halves. One selection serves both: it
+      // names the rows to rewrite and the rows to erase.
       const Table* table = db_->GetTable(update.table);
       if (table == nullptr) {
         return Status::NotFound("no such table: " + update.table);
@@ -644,7 +603,7 @@ Result<uint64_t> ImpSystem::ApplySyncBound(const BoundUpdate& update) {
       // One publication covers both halves; retire in allocation order.
       // Retrying (ultimately forced) publication: staged halves must be
       // visible before their versions retire (storage/database.h).
-      db_->PublishTableRetrying(update.table, Database::kSyncPublishRetries);
+      db_->PublishTableRetrying(update.table);
       db_->RetireVersion(delete_version);
       db_->RetireVersion(insert_version);
       IMP_RETURN_NOT_OK(deleted);
@@ -655,85 +614,16 @@ Result<uint64_t> ImpSystem::ApplySyncBound(const BoundUpdate& update) {
   return Status::Internal("unhandled update kind");
 }
 
-Result<uint64_t> ImpSystem::EnqueueUpdate(const BoundUpdate& update) {
-  auto start = std::chrono::steady_clock::now();
-  // Fail fast on a dead worker — before allocating anything. (The closed
-  // queue below catches the race where the worker dies mid-call.)
-  if (ingest_worker_dead_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(ingest_error_mu_);
-    return Status::Unavailable("ingestion worker dead: " +
-                               ingest_error_.ToString());
-  }
-  // Copy the statement payload BEFORE entering the queue's critical
-  // section — a large row batch must not serialize other producers.
-  IngestTask task;
-  task.update = update;
-  // Type-check an INSERT's rows here, so a mistyped row fails this call
-  // instead of dead-lettering on the worker.
-  const Table* table = db_->GetTable(update.table);
-  if (update.kind == BoundUpdate::Kind::kInsert && table != nullptr) {
-    std::vector<Tuple> widened;
-    IMP_RETURN_NOT_OK(ConformRows(table->schema(), update.rows, &widened));
-    if (!widened.empty()) task.update.rows = std::move(widened);
-  }
-  uint64_t ticket = 0;
-  // Full-queue policy: kReject never waits, kBlock waits up to the
-  // configured timeout (0 = indefinitely; Close() still wakes it).
-  std::optional<std::chrono::milliseconds> wait_budget;
-  if (config_.queue_full_policy == QueueFullPolicy::kReject) {
-    wait_budget = std::chrono::milliseconds(0);
-  } else if (config_.ingest_push_timeout_ms > 0) {
-    wait_budget = std::chrono::milliseconds(config_.ingest_push_timeout_ms);
-  }
-  // Only version allocation runs inside the push critical section, so
-  // ticket order == queue order even with racing producers; the worker
-  // then applies statements in ticket order, keeping every delta log's
-  // version column non-decreasing. The factory runs ONLY on success, so
-  // a rejected push never leaks an allocated version (which would stall
-  // the watermark behind a statement nobody will ever apply).
-  QueuePushOutcome outcome = ingest_queue_->PushWithUntil(
-      [&]() -> IngestTask {
-        if (task.update.kind == BoundUpdate::Kind::kUpdate) {
-          task.delete_version = db_->AllocateVersion();
-        }
-        task.version = db_->AllocateVersion();
-        ticket = task.version;
-        return std::move(task);
-      },
-      wait_budget);
-  if (outcome == QueuePushOutcome::kClosed) {
-    std::lock_guard<std::mutex> lock(ingest_error_mu_);
-    return Status::Unavailable(ingest_error_.ok()
-                                   ? "ingestion queue closed"
-                                   : "ingestion worker dead: " +
-                                         ingest_error_.ToString());
-  }
-  if (outcome == QueuePushOutcome::kFull) {
-    return Status::Unavailable("ingestion queue full");
-  }
-  {
-    std::lock_guard<std::mutex> lock(update_stats_mu_);
-    ++stats_.updates;
-    ++stats_.ingest_enqueued;
-    stats_.update_seconds += SecondsSince(start);
-  }
-  return ticket;
-}
-
 Result<uint64_t> ImpSystem::UpdateBound(const BoundUpdate& update) {
   if (update.kind == BoundUpdate::Kind::kInsert) {
     IMP_RETURN_NOT_OK(
         CheckPartitionNotNull(update.rows, PartitionColumn(update.table)));
   }
-  if (config_.async_ingestion) return EnqueueUpdate(update);
-  {
-    std::lock_guard<std::mutex> lock(update_stats_mu_);
-    ++stats_.updates;
-  }
   auto start = std::chrono::steady_clock::now();
-  Result<uint64_t> version = ApplySyncBound(update);
+  Result<uint64_t> version = ApplyBound(update);
   {
-    std::lock_guard<std::mutex> lock(update_stats_mu_);
+    std::lock_guard<std::mutex> stats(stats_mu_);
+    ++stats_.updates;
     stats_.update_seconds += SecondsSince(start);
   }
   if (!version.ok()) return version;
@@ -747,251 +637,6 @@ Result<uint64_t> ImpSystem::Update(const std::string& sql) {
     return Status::InvalidArgument("Update() called with a query");
   }
   return UpdateBound(bound.update);
-}
-
-Status ImpSystem::StageIngestTask(const IngestTask& task,
-                                  std::vector<std::string>* touched,
-                                  bool* staged_any) {
-  // Fires before anything is staged or recorded: a fired apply is always
-  // safe to retry (*staged_any stays false).
-  IMP_FAILPOINT(kFpIngestApply);
-  const BoundUpdate& update = task.update;
-  const Table* table = db_->GetTable(update.table);
-  if (table == nullptr) {
-    // The versions are still retired at the end of the batch cycle so the
-    // watermark cannot stall behind the failed statement.
-    return Status::NotFound("no such table: " + update.table);
-  }
-  if (std::find(touched->begin(), touched->end(), update.table) ==
-      touched->end()) {
-    touched->push_back(update.table);
-  }
-  // Read before taking the stripe: the catalog lock ranks above stripes.
-  const size_t partition_col = update.kind == BoundUpdate::Kind::kUpdate
-                                   ? PartitionColumn(update.table)
-                                   : SIZE_MAX;
-  auto session = db_->WriteSession(update.table);
-  switch (update.kind) {
-    case BoundUpdate::Kind::kInsert:
-      *staged_any = true;
-      return db_->StageInsert(update.table, update.rows, task.version);
-    case BoundUpdate::Kind::kDelete:
-      *staged_any = true;
-      return db_
-          ->StageDelete(update.table, SelectRows(*table, update.where),
-                        task.version)
-          .status();
-    case BoundUpdate::Kind::kUpdate: {
-      // Selected against the worker's current applied state (all earlier
-      // tickets staged), under the stripe — identical to the synchronous
-      // path's view of the table.
-      std::vector<BitVector> selection = SelectRows(*table, update.where);
-      IMP_ASSIGN_OR_RETURN(
-          std::vector<Tuple> modified,
-          ComputeUpdatedRows(*table, update, selection, partition_col));
-      *staged_any = true;
-      IMP_RETURN_NOT_OK(
-          db_->StageDelete(update.table, selection, task.delete_version)
-              .status());
-      return db_->StageInsert(update.table, modified, task.version);
-    }
-  }
-  return Status::Internal("unhandled update kind");
-}
-
-namespace {
-/// Poisoned statements kept for diagnosis; beyond this the oldest dead
-/// letter is dropped (the count keeps climbing in stats).
-constexpr size_t kDeadLetterCapacity = 64;
-}  // namespace
-
-void ImpSystem::DeadLetterStatement(const IngestTask& task,
-                                    const std::string& error) {
-  {
-    std::lock_guard<std::mutex> lock(dead_letter_mu_);
-    dead_letters_.push_back(
-        DeadLetter{task.update, task.version, task.delete_version, error});
-    while (dead_letters_.size() > kDeadLetterCapacity) {
-      dead_letters_.pop_front();
-    }
-  }
-  std::lock_guard<std::mutex> lock(update_stats_mu_);
-  ++stats_.ingest_dead_letters;
-}
-
-std::vector<DeadLetter> ImpSystem::DeadLetters() const {
-  std::lock_guard<std::mutex> lock(dead_letter_mu_);
-  return std::vector<DeadLetter>(dead_letters_.begin(), dead_letters_.end());
-}
-
-void ImpSystem::TerminalIngestFailure(const Status& error) {
-  {
-    std::lock_guard<std::mutex> lock(ingest_error_mu_);
-    if (ingest_error_.ok()) ingest_error_ = error;
-  }
-  ingest_worker_dead_.store(true, std::memory_order_release);
-  // Closing the queue wakes producers parked on a full queue (they see
-  // kClosed -> kUnavailable) and caps what the death drain must consume.
-  ingest_queue_->Close();
-}
-
-void ImpSystem::DrainToDeadLetters(const std::vector<IngestTask>& batch,
-                                   const Status& error) {
-  // Nothing of these statements was staged, so retiring their versions is
-  // safe (no unpublished data hides behind the advancing watermark) and
-  // necessary (a stalled watermark would freeze every future ReadView).
-  auto bury = [&](const IngestTask& task) {
-    DeadLetterStatement(task, error.ToString());
-    if (task.delete_version != 0) db_->RetireVersion(task.delete_version);
-    db_->RetireVersion(task.version);
-    ingest_queue_->TaskDone();
-  };
-  for (const IngestTask& task : batch) bury(task);
-  // The queue is closed (no new pushes); drain what raced in before the
-  // close so WaitForIngest's idle barrier is reachable.
-  while (std::optional<IngestTask> task = ingest_queue_->TryPop()) {
-    bury(*task);
-  }
-}
-
-void ImpSystem::ApplyIngestBatch(const std::vector<IngestTask>& batch) {
-  std::vector<Status> statuses;
-  std::vector<std::string> touched;
-  auto start = std::chrono::steady_clock::now();
-  // Stage every statement in ticket order; publication is deferred to
-  // the end of the cycle, so each touched table gets ONE delta
-  // publication + ONE snapshot swap per batch instead of per statement.
-  // A transiently failing apply is retried while nothing of it was
-  // staged yet; a poisoned statement (retries exhausted, partial stage,
-  // or a deterministic error) is dead-lettered — never wedging the
-  // watermark or the statements queued behind it.
-  for (const IngestTask& task : batch) {
-    bool staged_any = false;
-    Status st;
-    try {
-      st = StageIngestTask(task, &touched, &staged_any);
-      size_t retries = 0;
-      while (!st.ok() && !staged_any &&
-             st.code() != StatusCode::kNotFound &&
-             st.code() != StatusCode::kInvalidArgument &&
-             retries < config_.ingest_retry_limit) {
-        ++retries;
-        {
-          std::lock_guard<std::mutex> lock(update_stats_mu_);
-          ++stats_.ingest_retries;
-        }
-        st = StageIngestTask(task, &touched, &staged_any);
-      }
-    } catch (const std::exception& e) {
-      st = Status::Internal(std::string("apply threw: ") + e.what());
-    } catch (...) {
-      st = Status::Internal("apply threw: unknown exception");
-    }
-    if (!st.ok()) DeadLetterStatement(task, st.ToString());
-    statuses.push_back(st);
-  }
-  // Publish per touched table, retiring that table's versions right
-  // after its publication (a version may only retire once its table
-  // snapshot is visible — and retiring table by table keeps the stable
-  // watermark advancing even if the NEXT table's stripe is briefly held
-  // by a repartition freeze, which view-opening readers may be spinning
-  // on the watermark for). The version clock reorders out-of-order
-  // retires internally. Publication retries the snapshot.publish
-  // failpoint and is ultimately FORCED (storage/database.h): the one
-  // fault that may never win is a skipped publication under a retired
-  // version.
-  for (const std::string& table : touched) {
-    auto session = db_->WriteSession(table);
-    Status pub = db_->PublishTableRetrying(table, config_.publish_retry_limit);
-    session.unlock();
-    if (!pub.ok()) {
-      std::lock_guard<std::mutex> lock(update_stats_mu_);
-      ++stats_.publish_retries;
-    }
-    for (const IngestTask& task : batch) {
-      if (task.update.table != table) continue;
-      if (task.delete_version != 0) db_->RetireVersion(task.delete_version);
-      db_->RetireVersion(task.version);
-    }
-  }
-  // Failed statements (missing table, dead-lettered before touching their
-  // table) still consume their versions — the watermark never stalls
-  // behind a no-op. Safe precisely because these statements staged
-  // nothing into an untouched table.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (statuses[i].ok()) continue;
-    const IngestTask& task = batch[i];
-    if (std::find(touched.begin(), touched.end(), task.update.table) !=
-        touched.end()) {
-      continue;  // staged tables retired their versions above
-    }
-    if (task.delete_version != 0) db_->RetireVersion(task.delete_version);
-    db_->RetireVersion(task.version);
-  }
-  {
-    // Same mutex as the producer-side fields: a front end may poll
-    // stats() for ingestion progress while the worker runs.
-    std::lock_guard<std::mutex> lock(update_stats_mu_);
-    stats_.ingest_apply_seconds += SecondsSince(start);
-    stats_.ingest_applied += batch.size();
-    ++stats_.ingest_batches;
-    stats_.ingest_batch_max = std::max(stats_.ingest_batch_max, batch.size());
-  }
-  for (const Status& applied : statuses) {
-    if (applied.ok()) continue;
-    std::lock_guard<std::mutex> lock(ingest_error_mu_);
-    if (ingest_error_.ok()) ingest_error_ = applied;
-  }
-  // Eager maintenance runs on the worker, after the batch is published —
-  // one NoteUpdate per applied statement, the same statement count as
-  // the synchronous path (with batch_limit == 1 also the same epochs).
-  for (const Status& applied : statuses) {
-    if (applied.ok()) NoteUpdate();
-  }
-  for (size_t i = 0; i < batch.size(); ++i) ingest_queue_->TaskDone();
-}
-
-void ImpSystem::IngestWorkerLoop() {
-  const size_t batch_limit = std::max<size_t>(1, config_.ingest_apply_batch);
-  std::vector<IngestTask> batch;
-  while (std::optional<IngestTask> first = ingest_queue_->Pop()) {
-    // Drain up to batch_limit queued statements into one apply cycle; the
-    // first pop blocks (idle worker), the rest are opportunistic.
-    batch.clear();
-    batch.push_back(std::move(*first));
-    while (batch.size() < batch_limit) {
-      std::optional<IngestTask> next = ingest_queue_->TryPop();
-      if (!next) break;
-      batch.push_back(std::move(*next));
-    }
-    // Worker-death injection: fires BEFORE anything of the batch is
-    // staged, so the fail-stop below retires cleanly-unapplied versions
-    // only. Producers observe kUnavailable from then on; queries keep
-    // serving the last stable watermark; WaitForIngest returns the error
-    // instead of deadlocking.
-    if (IMP_FAILPOINT_HIT(kFpIngestWorkerCrash)) {
-      Status death =
-          Status::Unavailable("failpoint fired: ingest.worker_crash");
-      TerminalIngestFailure(death);
-      DrainToDeadLetters(batch, death);
-      return;
-    }
-    // ApplyIngestBatch never throws (per-statement exceptions become that
-    // statement's dead-letter), so reaching here means the cycle fully
-    // accounted for its versions and TaskDone()s.
-    ApplyIngestBatch(batch);
-  }
-}
-
-Status ImpSystem::WaitForIngest() {
-  if (ingest_queue_) {
-    ingest_queue_->WaitIdle();
-    std::lock_guard<std::mutex> lock(update_stats_mu_);
-    stats_.ingest_queue_peak =
-        std::max(stats_.ingest_queue_peak, ingest_queue_->max_depth());
-  }
-  std::lock_guard<std::mutex> lock(ingest_error_mu_);
-  return ingest_error_;
 }
 
 void ImpSystem::NoteUpdate() {
@@ -1026,7 +671,7 @@ Status ImpSystem::MaintainAllShards() {
     }
     if (entries.empty()) continue;
     // Pin this shard round's view at the current watermark; the round
-    // reads only through it, so the ingestion worker publishes freely.
+    // reads only through it, so writers publish freely.
     ReadView view = db_->OpenReadView();
     Status st = MaintainBatchLocked(entries, view);
     if (first_error.ok()) first_error = st;
@@ -1122,8 +767,8 @@ Status ImpSystem::MaintainBatchLocked(const std::vector<SketchEntry*>& entries,
   // at or below it is fully published IN THE VIEW, and later publications
   // are invisible through it — so no in-flight statement can race rows
   // into the round even though nothing is locked. The cut — not
-  // CurrentVersion(), which may run ahead during asynchronous ingestion —
-  // keys every shared cache below.
+  // CurrentVersion(), which runs ahead while a writer has allocated a
+  // version it has not yet retired — keys every shared cache below.
   const uint64_t cut = view.watermark();
   const bool incremental = config_.mode == ExecutionMode::kIncremental;
 

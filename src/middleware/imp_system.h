@@ -12,24 +12,14 @@
 // Maintenance timing follows the configured strategy: lazy (maintain when a
 // stale sketch is needed) or eager (maintain after every batch of updates).
 //
-// Ingestion runs in one of two modes:
-//   synchronous  — Update() applies the statement under the caller and
-//                  returns its published version (the seed behaviour);
-//   asynchronous — Update() allocates the statement's version, enqueues it
-//                  onto a bounded MPSC queue and returns the version as a
-//                  ticket immediately; a background worker applies
-//                  statements in ticket order and publishes the stable
-//                  watermark. Maintenance rounds cut at the watermark
-//                  epoch, never at the (possibly ahead) allocated version,
-//                  so a round is immune to rows racing in mid-round. After
-//                  WaitForIngest() every sketch, query result and
-//                  maintenance counter is bit-identical to the synchronous
-//                  run of the same stream of VALID statements. (A failing
-//                  statement diverges deliberately: its version was
-//                  allocated at enqueue and is retired on failure so the
-//                  watermark cannot stall — WAL/sequence-number semantics —
-//                  whereas the synchronous path validates before
-//                  allocating.)
+// Every update (INSERT / DELETE / UPDATE) runs on the caller's thread: it
+// stages, publishes and retires its statement version while holding the
+// table's write stripe, and Update() returns that published version.
+// Writers to different tables run concurrently and may retire their
+// versions out of order; the stable watermark (storage/version_clock.h)
+// passes a version only once every earlier one has retired. Maintenance
+// rounds cut at that watermark, never at the allocated version, so a
+// round is immune to rows a writer is still staging.
 //
 // Concurrency model (sharded front end over a lock-free storage read path):
 //
@@ -46,18 +36,19 @@
 //   resumes lock-free once the repaired snapshot is published.
 //
 //   Maintenance is shard-exclusive but storage-lock-free. MaintainAll,
-//   eager worker rounds and lazy repairs take the write lock of only the
-//   shards they touch, one shard at a time; each round pins a ReadView at
-//   its frozen cut and scans deltas / delegates joins / recaptures through
-//   it — the ingestion worker keeps publishing concurrently without ever
-//   blocking or being blocked by a round. Repartitioning and state
-//   eviction remain stop-the-world for the SKETCH store (exclusive
-//   front-end lock); on the storage side repartition now freezes only the
-//   affected table's write stripe instead of the whole backend.
+//   eager rounds (run by the writer whose statement completes a batch) and
+//   lazy repairs take the write lock of only the shards they touch, one
+//   shard at a time; each round pins a ReadView at its frozen cut and
+//   scans deltas / delegates joins / recaptures through it — other writers
+//   keep publishing concurrently without ever blocking or being blocked by
+//   a round. Repartitioning and state eviction remain stop-the-world for
+//   the SKETCH store (exclusive front-end lock); on the storage side
+//   repartition now freezes only the affected table's write stripe
+//   instead of the whole backend.
 //
 //   Lock hierarchy (acquire strictly downwards; never two shard locks at
 //   once): front-end lock -> shard lock -> table write stripe (writers
-//   only) -> delta-log / table internals. The stats mutexes are leaves.
+//   only) -> delta-log / table internals. The stats mutex is a leaf.
 //   Readers appear nowhere in the hierarchy — the read path pins
 //   immutable snapshots and holds no lock while executing.
 //
@@ -72,16 +63,13 @@
 #define IMP_MIDDLEWARE_IMP_SYSTEM_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/ingestion_queue.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "middleware/sketch_manager.h"
@@ -91,12 +79,6 @@ namespace imp {
 
 enum class ExecutionMode : uint8_t { kNoSketch, kFullMaintenance, kIncremental };
 enum class MaintenanceStrategy : uint8_t { kLazy, kEager };
-
-/// Producer behaviour when the bounded ingestion queue is full.
-enum class QueueFullPolicy : uint8_t {
-  kBlock,   ///< wait for space (bounded by ingest_push_timeout_ms if > 0)
-  kReject,  ///< fail fast with kUnavailable — never park the producer
-};
 
 /// System configuration.
 struct ImpConfig {
@@ -118,28 +100,12 @@ struct ImpConfig {
   /// entries (1 = serial in-thread, 0 = hardware concurrency). Sketch
   /// results are bit-identical to the serial run for any thread count.
   size_t maintenance_threads = 1;
-  /// Asynchronous ingestion: Update() enqueues and returns the statement's
-  /// pre-allocated version (the ticket) immediately; the background worker
-  /// applies and publishes. Off = the seed's synchronous path.
-  bool async_ingestion = false;
-  /// Bounded ingestion queue capacity; producers block when it is full
-  /// (backpressure instead of unbounded memory growth).
-  size_t ingest_queue_capacity = 1024;
-  /// Asynchronous ingestion batching: the worker drains up to this many
-  /// queued statements per apply cycle and publishes each touched table
-  /// ONCE per batch (one snapshot swap + one delta publication instead of
-  /// per statement), raising sustained ingest throughput under deep
-  /// queues. 1 = publish per statement (the PR 3 behaviour: eager rounds
-  /// then fire at exactly the synchronous path's epochs). Versions are
-  /// still applied and retired in ticket order, so drained results are
-  /// identical for any batch size.
-  size_t ingest_apply_batch = 1;
 
   // --- Fault handling & graceful degradation ------------------------------
   // The failure posture throughout: sketches are a pure accelerator, so a
   // faulty sketch degrades the query to a plain scan (bit-identical
-  // answer), never to an error or a wrong result; only the write path may
-  // surface kUnavailable (dead worker / full queue under kReject).
+  // answer), never to an error or a wrong result. A rejected write reports
+  // its error to its own caller and changes nothing.
 
   /// Failpoint spec armed at construction, same grammar as the
   /// IMP_FAILPOINTS environment variable (common/failpoint.h):
@@ -162,19 +128,6 @@ struct ImpConfig {
   /// from maintenance, from log pinning and from lazy repair (queries
   /// degrade to plain scans) until RepairQuarantined()/RepartitionTable.
   size_t quarantine_after_failures = 5;
-  /// Full-queue behaviour of async Update(): block (default) or reject.
-  QueueFullPolicy queue_full_policy = QueueFullPolicy::kBlock;
-  /// kBlock only: maximum milliseconds a producer may wait for queue
-  /// space before kUnavailable. 0 = wait indefinitely (Close() still
-  /// wakes it if the worker dies).
-  uint64_t ingest_push_timeout_ms = 0;
-  /// Immediate retries of a transiently failing statement apply, taken
-  /// only while NOTHING of the statement was staged yet (a partially
-  /// staged apply is not idempotent — it dead-letters instead).
-  size_t ingest_retry_limit = 3;
-  /// Extra publication attempts the worker grants per touched table
-  /// before the publication is forced through (storage/database.h).
-  size_t publish_retry_limit = 8;
 };
 
 /// Wall-clock accounting split by pipeline stage.
@@ -223,16 +176,6 @@ struct ImpSystemStats {
   size_t index_range_probes = 0;
   size_t index_fallback_scans = 0;
   size_t index_bytes = 0;
-  // Asynchronous ingestion counters. In async mode update_seconds measures
-  // ENQUEUE latency (what the writer observes); the apply cost moves to
-  // the worker and is reported separately.
-  size_t ingest_enqueued = 0;      ///< statements enqueued (async mode)
-  size_t ingest_applied = 0;       ///< statements applied by the worker
-  size_t ingest_queue_peak = 0;    ///< queue-depth high-water mark
-  size_t ingest_batches = 0;       ///< worker apply cycles (publishes per
-                                   ///< touched table once per cycle)
-  size_t ingest_batch_max = 0;     ///< largest statements-per-cycle drained
-  double ingest_apply_seconds = 0; ///< worker time applying statements
   // Fault-handling counters (Health() refreshes the snapshot-style ones).
   size_t faults_injected = 0;       ///< failpoint fires since construction
   size_t maintenance_retries = 0;   ///< rounds re-attempting a previously
@@ -241,65 +184,35 @@ struct ImpSystemStats {
                                     ///< (cumulative, not current count)
   size_t degraded_queries = 0;      ///< queries answered by plain scan
                                     ///< because their sketch was unhealthy
-  size_t dead_letter_size = 0;      ///< poisoned statements currently held
-  size_t ingest_retries = 0;        ///< statement apply retries taken
-  size_t ingest_dead_letters = 0;   ///< statements dead-lettered (lifetime)
-  size_t publish_retries = 0;       ///< worker publish cycles that needed
-                                    ///< retry or force
   double capture_seconds = 0;
   double maintain_seconds = 0;
   double query_seconds = 0;      ///< instrumented/plain query execution
-  double update_seconds = 0;     ///< sync: apply latency; async: enqueue
-
-  double TotalSeconds() const {
-    return capture_seconds + maintain_seconds + query_seconds +
-           update_seconds + ingest_apply_seconds;
-  }
-  void Reset() { *this = ImpSystemStats{}; }
+  double update_seconds = 0;     ///< statement apply latency
 };
 
 /// Point-in-time health snapshot of the pipeline (Health()). Safe to take
 /// concurrently with queries, updates and maintenance — each field is
 /// internally consistent; the set as a whole is advisory, not a fence.
 struct SystemHealth {
-  /// False once the async worker fail-stopped (crash failpoint or an
-  /// escaped exception); always true in synchronous mode. A dead worker
-  /// closes the queue: Update() returns kUnavailable, the READ path keeps
-  /// serving the last stable watermark.
-  bool ingest_worker_alive = true;
-  size_t ingest_queue_depth = 0;
-  size_t dead_letter_size = 0;
   size_t sketches_fresh = 0;
   size_t sketches_stale = 0;
   size_t sketches_quarantined = 0;
   size_t faults_injected = 0;        ///< failpoint fires since construction
-  std::string last_ingest_error;     ///< first deferred error ("" = none)
-};
-
-/// One statement the ingestion worker gave up on (poisoned): kept out of
-/// the pipeline so the watermark and the statements behind it keep
-/// flowing, retained here for diagnosis / manual replay.
-struct DeadLetter {
-  BoundUpdate update;
-  uint64_t version = 0;
-  uint64_t delete_version = 0;  ///< kUpdate only
-  std::string error;
 };
 
 /// Thread-safety contract: Update()/UpdateBound() may be called from many
-/// producer threads concurrently (async mode serializes them on the queue;
-/// sync mode on the per-table write stripes). Query/QueryPlan and
-/// MaintainAll may also be called from many threads concurrently with each
-/// other, with the producers and with the ingestion worker's eager rounds;
-/// each query's result is identical to a fully serialized run at the
-/// watermark it executed under. RegisterPartition / PartitionTable /
-/// RepartitionTable / EvictSketchStates are stop-the-world (they serialize
-/// against everything). Read stats() only at quiescent points (e.g. after
-/// WaitForIngest() and after in-flight queries returned).
+/// writer threads concurrently (they serialize per table on the write
+/// stripes). Query/QueryPlan and MaintainAll may also be called from many
+/// threads concurrently with each other and with the writers, including
+/// the eager rounds writers run; each query's result is identical to a
+/// fully serialized run at the watermark it executed under.
+/// RegisterPartition / PartitionTable / RepartitionTable /
+/// EvictSketchStates are stop-the-world (they serialize against
+/// everything). Read stats() only at quiescent points (after in-flight
+/// updates and queries returned).
 class ImpSystem {
  public:
   ImpSystem(Database* db, ImpConfig config = {});
-  ~ImpSystem();
 
   ImpSystem(const ImpSystem&) = delete;
   ImpSystem& operator=(const ImpSystem&) = delete;
@@ -316,25 +229,14 @@ class ImpSystem {
   /// Run a bound plan (bypasses the parser; used by benchmarks).
   Result<Relation> QueryPlan(const PlanPtr& plan);
 
-  /// Apply a SQL update (INSERT / DELETE / UPDATE). Synchronous mode:
-  /// applies under the caller and returns the published version.
-  /// Asynchronous mode: enqueues and immediately returns the statement's
-  /// pre-allocated version — the ticket; the statement is visible to
-  /// queries/maintenance once the stable watermark passes it. A row that
-  /// does not fit the column types (ConformRows) or writes NULL into a
-  /// partition attribute fails with InvalidArgument and changes nothing —
-  /// in async mode before enqueueing, except an UPDATE's computed rows,
-  /// which the worker rejects as a dead letter.
+  /// Apply a SQL update (INSERT / DELETE / UPDATE) under the caller and
+  /// return its published version; it is visible to queries and
+  /// maintenance once the stable watermark passes it. A row that does not
+  /// fit the column types (ConformRows) or writes NULL into a partition
+  /// attribute fails with InvalidArgument and changes nothing.
   Result<uint64_t> Update(const std::string& sql);
   /// Apply a bound update.
   Result<uint64_t> UpdateBound(const BoundUpdate& update);
-
-  /// Drain barrier for asynchronous ingestion: block until every enqueued
-  /// statement has been applied and published, and any eager maintenance
-  /// it triggered has finished. Returns the first deferred apply error (a
-  /// failed async statement cannot report through its own Update call).
-  /// No-op returning OK in synchronous mode.
-  Status WaitForIngest();
 
   /// Force maintenance of every stale sketch (flushes eager buffering).
   /// Proceeds shard by shard — readers of other shards are never blocked.
@@ -344,7 +246,7 @@ class ImpSystem {
   Status MaintainAll();
 
   /// Point-in-time pipeline health; also refreshes the snapshot-style
-  /// stats fields (faults_injected, dead_letter_size).
+  /// stats fields (faults_injected and the index counters).
   SystemHealth Health();
 
   /// Recapture every quarantined sketch from base tables and return it to
@@ -352,9 +254,6 @@ class ImpSystem {
   /// world like RepartitionTable. Returns the first recapture error;
   /// entries that still fail stay quarantined.
   Status RepairQuarantined();
-
-  /// Snapshot of the dead-letter store (poisoned async statements).
-  std::vector<DeadLetter> DeadLetters() const;
 
   /// Persist every sketch's incremental operator state into the backend's
   /// blob store and release the in-memory state (Sec. 2: eviction under
@@ -374,17 +273,9 @@ class ImpSystem {
   const PartitionCatalog& catalog() const { return catalog_; }
   SketchManager& sketches() { return sketches_; }
   const ImpSystemStats& stats() const { return stats_; }
-  ImpSystemStats* mutable_stats() { return &stats_; }
   const ImpConfig& config() const { return config_; }
 
  private:
-  /// One queued update statement with its pre-allocated version(s).
-  struct IngestTask {
-    BoundUpdate update;
-    uint64_t version = 0;         ///< the ticket (kUpdate: the insert half)
-    uint64_t delete_version = 0;  ///< kUpdate only: the delete half
-  };
-
   /// Plain (no-sketch) execution over its own pinned ReadView.
   Result<Relation> ExecutePlain(const PlanPtr& plan);
   /// True iff any of the entry's tables was modified past `version` as of
@@ -440,48 +331,16 @@ class ImpSystem {
   /// reading through the repartition pass's pinned `view`. Caller holds
   /// the front-end lock exclusively.
   Status RecaptureEntry(SketchEntry* entry, const ReadView& view);
-  /// Eager-strategy bookkeeping; runs on the caller (sync) or the
-  /// ingestion worker (async), after the statement is applied.
+  /// Eager-strategy bookkeeping; runs on the writer's thread after its
+  /// statement is published.
   void NoteUpdate();
   /// Index of `table`'s partition attribute (NOT NULL), or SIZE_MAX when
   /// the table is unpartitioned. Takes the shared front-end lock, so never
   /// call it while holding a write stripe.
   size_t PartitionColumn(const std::string& table);
-  /// Apply the statement under the caller (synchronous mode).
-  Result<uint64_t> ApplySyncBound(const BoundUpdate& update);
-  /// Allocate version(s) + enqueue; returns the ticket (async mode).
-  Result<uint64_t> EnqueueUpdate(const BoundUpdate& update);
-  /// Worker body: drain up to config.ingest_apply_batch statements per
-  /// cycle, stage each under its table's write stripe (with bounded
-  /// retries / dead-lettering), publish every touched table once, retire
-  /// the versions in ticket order. Exits early only on a terminal fault
-  /// (crash failpoint), after fail-stopping and draining the queue.
-  void IngestWorkerLoop();
-  /// One apply cycle over `batch` (see IngestWorkerLoop). Never throws:
-  /// per-statement exceptions are converted to that statement's Status.
-  void ApplyIngestBatch(const std::vector<IngestTask>& batch);
-  /// Stage (apply without publishing) one statement under its table's
-  /// write stripe; records the touched table in `touched` (first-touch
-  /// order) for the batch-end publication. Carries the `ingest.apply`
-  /// failpoint. `*staged_any` is set the moment the statement mutates
-  /// anything — a failure with it still false is safe to retry (nothing
-  /// to undo); with it true the statement must dead-letter (a partial
-  /// kUpdate re-applied would double its delete half).
-  Status StageIngestTask(const IngestTask& task,
-                         std::vector<std::string>* touched, bool* staged_any);
-  /// Record a poisoned statement in the dead-letter store (bounded by
-  /// kDeadLetterCapacity in imp_system.cc; lifetime count in stats).
-  void DeadLetterStatement(const IngestTask& task, const std::string& error);
-  /// Fail-stop the write path: record `error`, mark the worker dead and
-  /// close the queue (waking parked producers). Read path unaffected.
-  void TerminalIngestFailure(const Status& error);
-  /// Dead-letter + retire + TaskDone `batch` and everything still queued
-  /// (the dead worker's drain — WaitForIngest and producers never hang).
-  /// Only reached before anything of the batch was staged, so retiring
-  /// the versions is safe (nothing unpublished exists).
-  void DrainToDeadLetters(const std::vector<IngestTask>& batch,
-                          const Status& error);
-  void StopIngestWorker();
+  /// Stage, publish and retire the statement under its table's write
+  /// stripe; returns its version.
+  Result<uint64_t> ApplyBound(const BoundUpdate& update);
   /// Milliseconds on the backoff clock (config.clock_ms or steady_clock).
   uint64_t NowMs() const;
   /// Worker pool for maintenance rounds, created on first use and reused
@@ -497,8 +356,7 @@ class ImpSystem {
   Binder binder_;
   ImpSystemStats stats_;
   /// Eager-strategy statement counter. Atomic: incremented by NoteUpdate
-  /// on the ingestion worker (async) or producer threads (sync), reset by
-  /// the maintenance round that flushes it.
+  /// on writer threads, reset by the maintenance round that flushes it.
   std::atomic<size_t> pending_update_statements_{0};
   std::unique_ptr<ThreadPool> maintenance_pool_;
   std::once_flag maintenance_pool_once_;
@@ -509,25 +367,9 @@ class ImpSystem {
   /// PartitionTable, RepartitionTable, EvictSketchStates), which every
   /// shared-side path reads without further locking.
   std::shared_mutex frontend_mu_;
-  /// Guards the front-end stat fields (queries/captures/uses/maintenance
-  /// counters and timings), which concurrent readers and per-shard rounds
-  /// update. Leaf lock.
+  /// Guards every stat field, which concurrent queries, writers and
+  /// per-shard rounds update. Leaf lock.
   std::mutex stats_mu_;
-  /// Guards the ingestion-side stat fields (updates / update_seconds /
-  /// ingest_enqueued on producers; ingest_applied / ingest_apply_seconds /
-  /// ingest_queue_peak on the worker and drain) so a front end may poll
-  /// stats() for ingestion progress mid-flight. Leaf lock.
-  std::mutex update_stats_mu_;
-  std::mutex ingest_error_mu_;
-  Status ingest_error_;  ///< first deferred async apply error
-  std::unique_ptr<IngestionQueue<IngestTask>> ingest_queue_;
-  std::thread ingest_worker_;
-  /// Set by TerminalIngestFailure; Update() then fails fast with
-  /// kUnavailable instead of enqueueing onto a queue nobody drains.
-  std::atomic<bool> ingest_worker_dead_{false};
-  /// Dead-letter store (leaf lock, like the stats mutexes).
-  mutable std::mutex dead_letter_mu_;
-  std::deque<DeadLetter> dead_letters_;
   /// Registry-wide fire count at construction: stats_.faults_injected
   /// reports fires SINCE this system was built, not process lifetime.
   size_t faults_baseline_ = 0;

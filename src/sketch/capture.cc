@@ -20,8 +20,8 @@ Result<ProvenanceSketch> CaptureEngine::Capture(const PlanPtr& plan,
   sketch.fragments = result.SketchUnion();
   sketch.fragments.Resize(catalog_->total_fragments());
   // The capture query read the pinned view (or published snapshots only);
-  // anchor at its watermark so in-flight asynchronously-ingested
-  // statements still count as pending.
+  // anchor at its watermark so statements that writers have not yet
+  // retired still count as pending.
   sketch.valid_version = view ? view->watermark() : db_->StableVersion();
   return sketch;
 }

@@ -136,12 +136,11 @@ void Database::PublishTableUnchecked(std::string_view table) {
   t->PublishSnapshot();
 }
 
-Status Database::PublishTableRetrying(std::string_view table,
-                                      size_t max_retries) {
+Status Database::PublishTableRetrying(std::string_view table) {
   Status first = PublishTable(table);
   if (first.ok()) return first;
   publish_faults_.fetch_add(1, std::memory_order_relaxed);
-  for (size_t attempt = 0; attempt < max_retries; ++attempt) {
+  for (size_t attempt = 0; attempt < kPublishRetries; ++attempt) {
     if (PublishTable(table).ok()) return first;
     publish_faults_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -158,7 +157,7 @@ void Database::PublishVersion(const std::string& table, uint64_t version) {
   // anyway so the stable watermark cannot stall behind it. The retrying
   // publication guarantees the retire below never exposes a watermark
   // whose data is still unpublished.
-  PublishTableRetrying(table, kSyncPublishRetries);
+  PublishTableRetrying(table);
   RetireVersion(version);
 }
 

@@ -11,10 +11,11 @@
 // version is first *allocated*, then *applied* (base rows + staged delta
 // records), then *published*. StableVersion() — the highest version whose
 // every predecessor is fully published — is the watermark maintenance
-// rounds cut at; CurrentVersion() is the highest allocated version and may
-// run ahead of the watermark while asynchronous ingestion is in flight.
-// On the synchronous Insert path (and exec's DeleteWhere) the three steps
-// happen under the caller, so the two counters always coincide there.
+// rounds cut at; CurrentVersion() is the highest allocated version. Every
+// write path (Insert, exec's DeleteWhere, the middleware's UPDATE) runs
+// the three steps under the caller while holding the table's write
+// stripe, so CurrentVersion() runs ahead of the watermark only while some
+// writer is mid-statement, and the two coincide once all writers return.
 //
 // Concurrency — the lock-free read path (no global session lock exists):
 //
@@ -26,10 +27,11 @@
 //     against the published tail (storage/delta_log.h). Old snapshots are
 //     reclaimed epoch-style when the last pin drops; a writer never waits
 //     for or observes readers.
-//   * WRITERS STRIPE PER TABLE. Every mutation of a table — the sync
-//     Insert/DELETE paths, the ingestion worker's staged applies, snapshot
-//     publication — runs under that table's write stripe
-//     (WriteSession(table)); writers to different tables never contend.
+//   * WRITERS STRIPE PER TABLE. Every mutation of a table — Insert,
+//     DELETE, UPDATE's staged halves, snapshot publication — runs under
+//     that table's write stripe (WriteSession(table)); writers to
+//     different tables never contend, and may retire their versions out of
+//     order.
 //     Publication order inside PublishVersion — deltas, then the table
 //     snapshot, then the version clock — is what makes a ReadView opened
 //     at stable watermark W see every statement <= W.
@@ -90,8 +92,9 @@ class Database {
   Result<uint64_t> Insert(const std::string& table,
                           const std::vector<Tuple>& rows);
 
-  /// Highest allocated snapshot version (0 before any update). May exceed
-  /// StableVersion() while asynchronous ingestion is in flight.
+  /// Highest allocated snapshot version (0 before any update). Exceeds
+  /// StableVersion() while a writer has allocated a version it has not
+  /// yet retired.
   uint64_t CurrentVersion() const { return clock_.allocated(); }
 
   /// Highest fully-published version: every statement <= this version has
@@ -99,18 +102,18 @@ class Database {
   /// maintenance rounds and ReadViews.
   uint64_t StableVersion() const { return clock_.stable(); }
 
-  // --- Epoch-aware append path (asynchronous ingestion) -------------------
+  // --- Staged append path -------------------------------------------------
   //
-  // The middleware's ingestion worker drives statements through
-  //   v = AllocateVersion();              (at enqueue: v is the ticket)
-  //   { WriteSession(table);              (at apply)
-  //     StageInsert/StageDelete(..., v); }
-  //   PublishVersion(table, v);           (or, batched: one PublishTable
-  //                                        per touched table, then
-  //                                        RetireVersion per statement)
-  // Statements must be applied in allocation order (the bounded MPSC
-  // queue's pop order); each table's log then keeps non-decreasing
-  // versions, which the window binary search relies on.
+  // Every write path drives its statement through
+  //   { WriteSession(table);
+  //     v = AllocateVersion();
+  //     StageInsert/StageDelete(..., v);
+  //     PublishVersion(table, v); }       (an UPDATE stages both halves,
+  //                                        publishes once with
+  //                                        PublishTableRetrying, then
+  //                                        retires both versions)
+  // Allocating under the stripe keeps each table's log versions
+  // non-decreasing, which the window binary search relies on.
 
   /// Reserve the next statement version without touching storage.
   uint64_t AllocateVersion() { return clock_.Allocate(); }
@@ -135,7 +138,7 @@ class Database {
   /// Publish `table`'s staged state: make its staged delta records visible
   /// and swap in the next immutable TableSnapshot. Caller holds the
   /// table's write stripe. One call may cover several staged statements
-  /// (the ingestion worker's batched apply publishes once per batch).
+  /// (an UPDATE publishes its delete and insert halves at once).
   /// Carries the `snapshot.publish` failpoint: a fired failpoint returns
   /// non-OK WITHOUT publishing anything, so a retry is always clean. A
   /// missing table publishes nothing and returns OK (failed statements
@@ -143,7 +146,7 @@ class Database {
   Status PublishTable(std::string_view table);
 
   /// Publication with the system's failure policy baked in: retry the
-  /// failpoint-gated publish up to `max_retries` extra times, then FORCE
+  /// failpoint-gated publish up to kPublishRetries extra times, then FORCE
   /// the publication. Skipping a publication is the one fault this design
   /// cannot absorb — staged-but-unpublished state under an advancing
   /// watermark would let a sketch fast-forward past rows it never saw
@@ -154,11 +157,7 @@ class Database {
   /// in publish_faults(), every override in forced_publishes(). Returns
   /// the first attempt's error (telemetry) — the publication itself has
   /// ALWAYS completed when this returns.
-  Status PublishTableRetrying(std::string_view table, size_t max_retries);
-
-  /// Retry budget the synchronous write paths grant their (forced)
-  /// publication; the asynchronous worker passes its configured budget.
-  static constexpr size_t kSyncPublishRetries = 4;
+  Status PublishTableRetrying(std::string_view table);
 
   /// Retire `version` in the version clock: the statement is fully applied
   /// and published, and the stable watermark advances once the version gap
@@ -176,8 +175,8 @@ class Database {
   // --- Per-table write stripe ---------------------------------------------
 
   /// Exclusive guard every writer of `table` holds while applying and
-  /// publishing (sync mutators, the ingestion worker, repartitioning's
-  /// freeze of one table). Never taken by readers — the read path is
+  /// publishing (Insert, DELETE, UPDATE, repartitioning's freeze of one
+  /// table). Never taken by readers — the read path is
   /// lock-free. The table must exist.
   std::unique_lock<std::mutex> WriteSession(std::string_view table) const;
 
@@ -210,8 +209,8 @@ class Database {
   /// version <= it). Driven by the middleware after a MaintainAll round
   /// with the minimum valid_version across all sketch shards: no sketch
   /// will ever re-scan below that watermark. Safe against concurrent
-  /// window scans (pinned log views keep dropped segments alive) and the
-  /// in-flight ingestion writer (per-log writer mutex).
+  /// window scans (pinned log views keep dropped segments alive) and
+  /// in-flight writers (per-log writer mutex).
   void TruncateDeltaLogs(uint64_t version);
 
   /// Failed publication attempts observed by PublishTableRetrying /
@@ -254,6 +253,10 @@ class Database {
   size_t IndexBytes() const;
 
  private:
+  /// Extra publication attempts PublishTableRetrying grants before it
+  /// forces the publication through.
+  static constexpr size_t kPublishRetries = 4;
+
   /// The actual publication work (deltas, then snapshot) — no failpoint.
   void PublishTableUnchecked(std::string_view table);
 

@@ -1,7 +1,7 @@
 // A per-table append-only delta log with an explicit publication step and a
 // WAIT-FREE read side: window scans, counts and staleness probes never take
-// a lock, even while the ingestion worker is appending, publishing, or a
-// maintenance round is truncating the log.
+// a lock, even while a writer is appending, publishing, or a maintenance
+// round is truncating the log.
 //
 // The log has two zones:
 //
@@ -27,10 +27,11 @@
 //     scan can never read freed memory no matter how the sweep races it.
 //
 // Writer-side serialization: Append/Publish are externally serialized per
-// table (the Database's per-table write stripe; the sync path and the
-// single ingestion worker). Truncate may be called by maintenance threads
-// concurrently with the writer, so all three serialize on the log's small
-// internal writer mutex — a writer/writer lock only; readers never touch it.
+// table (the Database's per-table write stripe, which every writer holds
+// while it stages and publishes). Truncate may be called by maintenance
+// threads concurrently with the writer, so all three serialize on the
+// log's small internal writer mutex — a writer/writer lock only; readers
+// never touch it.
 //
 // HasRecordAfter() and last_published_version() remain wait-free atomics —
 // they back the O(1) staleness probe and never touch record storage.

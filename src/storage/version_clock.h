@@ -1,12 +1,12 @@
 // The backend's statement-version lifecycle, extracted from Database's
 // ad-hoc counter into an epoch-aware, concurrency-safe clock.
 //
-// A statement's life has three points:
-//   1. Allocate()   — the version id is reserved (the async ingestion
-//                     ticket; the statement may not have touched storage
-//                     yet),
-//   2. apply        — base rows and delta records are written (possibly on
-//                     a background worker, invisible to readers),
+// A statement's life has three points, all on the writer's thread while
+// it holds the table's write stripe:
+//   1. Allocate()   — the version id is reserved (the statement has not
+//                     touched storage yet),
+//   2. apply        — base rows and delta records are staged, invisible to
+//                     readers,
 //   3. Publish(v)   — the statement is fully applied and its delta records
 //                     are visible; once every version <= v is published the
 //                     stable watermark advances to v.
@@ -14,14 +14,14 @@
 // stable() is the epoch cut maintenance rounds use: sketches maintained up
 // to stable() have seen every delta record of every statement <= stable(),
 // and no record of an in-flight statement. allocated() (the old
-// CurrentVersion) may run ahead of stable() while ingestion is in flight;
-// the two coincide on the synchronous path where allocate/apply/publish
-// happen under the caller.
+// CurrentVersion) runs ahead of stable() while a writer is between steps
+// 1 and 3; the two coincide once every writer has returned.
 //
 // Thread safety: Allocate()/allocated()/stable() are wait-free atomics;
 // Publish() serializes on a small mutex and tolerates out-of-order
 // publication (version v+1 published before v holds the watermark at v-1
-// until v lands).
+// until v lands). Writers on different tables hold different stripes, so
+// their versions do retire out of order.
 
 #ifndef IMP_STORAGE_VERSION_CLOCK_H_
 #define IMP_STORAGE_VERSION_CLOCK_H_

@@ -2,12 +2,19 @@
 // end (run under the TSan CI job, repeated until-fail):
 //
 //  * linearizability of Query against the stable watermark: reader threads
-//    racing the ingestion worker and a MaintainAll thread must each return
-//    a result bit-identical to the fully serialized run at SOME watermark
-//    within the query's [before, after] window;
+//    racing a synchronous writer (which also runs the eager rounds) and a
+//    MaintainAll thread must each return a result bit-identical to the
+//    fully serialized run at SOME watermark within the query's
+//    [before, after] window;
+//  * ReadViews opened while writers, eager rounds, queries and truncation
+//    sweeps race each pin the serialized database at their watermark;
 //  * readers on one table proceeding while another table's shard is being
-//    maintained (cross-table results stay correct under the same racing
+//    maintained, with one writer thread per table so versions retire out
+//    of order (cross-table results stay correct under the same racing
 //    load);
+//  * racing producers on one table against lock-free staleness probes and
+//    window scans: the final sketches and answers equal a single-threaded
+//    run's;
 //  * a reader-held SketchSnapshot staying self-consistent across a
 //    concurrent RepartitionTable, while queries racing the repartition
 //    keep returning correct results;
@@ -110,8 +117,6 @@ TEST(ConcurrentFrontendTest, QueriesMatchSerialRunAtTheirWatermark) {
   config.mode = ExecutionMode::kIncremental;
   config.strategy = MaintenanceStrategy::kEager;
   config.eager_batch_size = 4;
-  config.async_ingestion = true;
-  config.ingest_queue_capacity = kStatements + 1;
   ImpSystem system(&db, config);
   ASSERT_TRUE(system
                   .RegisterPartition(RangePartition::EquiWidthInt(
@@ -146,17 +151,16 @@ TEST(ConcurrentFrontendTest, QueriesMatchSerialRunAtTheirWatermark) {
     }
   });
 
-  // Writer (this thread): enqueue the deterministic statement stream while
-  // readers and the maintainer race it.
+  // Writer (this thread): apply the deterministic statement stream, and
+  // every fourth statement an eager round, while readers and the
+  // maintainer race it.
   for (size_t k = 0; k < kStatements; ++k) {
     ASSERT_TRUE(system.UpdateBound(InsertStatement("t", k, kStartId)).ok());
   }
-  ASSERT_TRUE(system.WaitForIngest().ok());
-  // The lock-free worker no longer waits behind readers, so on a loaded
-  // single-CPU box the drain can outrun them entirely; keep the window
-  // open until enough queries completed for the assertions below to mean
-  // something (post-drain queries still observe valid windows at the
-  // final watermark).
+  // The writer never waits behind readers, so on a loaded single-CPU box
+  // it can finish before any reader does; keep the window open until
+  // enough queries completed for the assertions below to mean something
+  // (later queries still observe valid windows at the final watermark).
   while (completed.load(std::memory_order_acquire) < kReaders) {
     std::this_thread::yield();
   }
@@ -185,20 +189,21 @@ TEST(ConcurrentFrontendTest, QueriesMatchSerialRunAtTheirWatermark) {
   EXPECT_GT(system.stats().snapshot_reads, 0u);
 }
 
-TEST(ConcurrentFrontendTest, ReadViewsStayConsistentUnderBatchedIngestLoad) {
-  // Storage-level counterpart of the linearizability test: while the
-  // ingestion worker (with batched apply: several statements per
-  // publication cycle), eager maintenance rounds and delta-log truncation
-  // sweeps all race, every ReadView opened mid-flight must still pin the
-  // serialized database at its watermark — single-row inserts make that
-  // checkable as rows(t) == initial + watermark — with per-table version
-  // stamps at or below the watermark and publication epochs that never
-  // run backwards for any observer.
+TEST(ConcurrentFrontendTest, ReadViewsStayConsistentUnderWriteLoad) {
+  // Storage-level counterpart of the linearizability test: while two
+  // writer threads (each also running the eager rounds its statements
+  // complete), queries and delta-log truncation sweeps all race, every
+  // ReadView opened mid-flight must still pin the serialized database at
+  // its watermark — single-row inserts make that checkable as
+  // rows(t) == initial + watermark — with per-table version stamps at or
+  // below the watermark and publication epochs that never run backwards
+  // for any observer.
   SyntheticSpec spec;
   spec.name = "t";
   spec.num_rows = 300;
   spec.num_groups = kGroups;
   const size_t kStatements = 64;
+  const size_t kWriters = 2;
   const int64_t kStartId = 200000;
   const std::string sql =
       "SELECT a, sum(b) AS sb FROM t GROUP BY a HAVING sum(b) > 1500";
@@ -209,9 +214,6 @@ TEST(ConcurrentFrontendTest, ReadViewsStayConsistentUnderBatchedIngestLoad) {
   config.mode = ExecutionMode::kIncremental;
   config.strategy = MaintenanceStrategy::kEager;
   config.eager_batch_size = 4;
-  config.async_ingestion = true;
-  config.ingest_queue_capacity = kStatements + 1;
-  config.ingest_apply_batch = 8;  // several statements per publication
   ImpSystem system(&db, config);
   ASSERT_TRUE(system
                   .RegisterPartition(RangePartition::EquiWidthInt(
@@ -252,31 +254,36 @@ TEST(ConcurrentFrontendTest, ReadViewsStayConsistentUnderBatchedIngestLoad) {
     }
   });
 
-  for (size_t k = 0; k < kStatements; ++k) {
-    ASSERT_TRUE(system.UpdateBound(InsertStatement("t", k, kStartId)).ok());
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (size_t k = w; k < kStatements; k += kWriters) {
+        ASSERT_TRUE(
+            system.UpdateBound(InsertStatement("t", k, kStartId)).ok());
+      }
+    });
   }
-  ASSERT_TRUE(system.WaitForIngest().ok());
+  for (std::thread& t : writers) t.join();
   stop.store(true, std::memory_order_release);
   for (std::thread& t : pollers) t.join();
   querier.join();
   truncator.join();
 
-  // Drained: the watermark caught up, the published snapshot holds every
-  // row, and the worker really did collapse statements into batches.
+  // The watermark caught up and the published snapshot holds every row.
   ReadView final_view = db.OpenReadView();
   EXPECT_EQ(final_view.watermark(), kStatements);
   EXPECT_EQ(final_view.Find("t")->num_rows(), spec.num_rows + kStatements);
-  EXPECT_GE(system.stats().ingest_batches, 1u);
-  EXPECT_LE(system.stats().ingest_batch_max, 8u);
 }
 
 TEST(ConcurrentFrontendTest, ReadersAcrossTablesRaceMaintenanceCorrectly) {
   // Two tables, one sketch each — updates and maintenance on `u` must not
   // corrupt (or serialize away the correctness of) reads on `t` and vice
-  // versa. Both query streams are validated against their serialized
-  // expectation; the interleaving of the two tables' statements is fixed
-  // by ticket order (a single writer thread alternates tables), so each
-  // table sees its own deterministic prefix at every watermark.
+  // versa. Each table has its own writer thread, so the two statement
+  // streams interleave freely and their versions retire out of order.
+  // Each table's own stream is deterministic, so both query streams are
+  // validated against their serialized expectation, indexed by the
+  // table's own statement count: single-row inserts make that count the
+  // table's row growth in ReadViews opened before and after the query.
   SyntheticSpec spec_t;
   spec_t.name = "t";
   spec_t.num_rows = 300;
@@ -285,10 +292,7 @@ TEST(ConcurrentFrontendTest, ReadersAcrossTablesRaceMaintenanceCorrectly) {
   spec_u.name = "u";
   spec_u.seed = 43;
 
-  // Statement k in the run targets t when k is even, u when odd; the
-  // per-table sub-stream is deterministic, and a watermark w corresponds
-  // to ceil(w/2) statements on t and floor(w/2) on u.
-  const size_t kStatements = 40;
+  const size_t kPerTable = 20;
   const int64_t kStartId = 200000;
   const std::string sql_t =
       "SELECT a, sum(b) AS sb FROM t GROUP BY a HAVING sum(b) > 1200";
@@ -297,10 +301,10 @@ TEST(ConcurrentFrontendTest, ReadersAcrossTablesRaceMaintenanceCorrectly) {
 
   // Per-table serialized expectations, indexed by the table's OWN
   // statement count.
-  std::vector<Relation> expected_t = SerialResultsPerVersion(
-      "t", sql_t, (kStatements + 1) / 2, kStartId, spec_t);
-  std::vector<Relation> expected_u = SerialResultsPerVersion(
-      "u", sql_u, kStatements / 2, kStartId, spec_u);
+  std::vector<Relation> expected_t =
+      SerialResultsPerVersion("t", sql_t, kPerTable, kStartId, spec_t);
+  std::vector<Relation> expected_u =
+      SerialResultsPerVersion("u", sql_u, kPerTable, kStartId, spec_u);
 
   Database db;
   ASSERT_TRUE(CreateSyntheticTable(&db, spec_t).ok());
@@ -309,8 +313,6 @@ TEST(ConcurrentFrontendTest, ReadersAcrossTablesRaceMaintenanceCorrectly) {
   config.mode = ExecutionMode::kIncremental;
   config.strategy = MaintenanceStrategy::kEager;
   config.eager_batch_size = 4;
-  config.async_ingestion = true;
-  config.ingest_queue_capacity = kStatements + 1;
   ImpSystem system(&db, config);
   ASSERT_TRUE(system
                   .RegisterPartition(RangePartition::EquiWidthInt(
@@ -323,30 +325,33 @@ TEST(ConcurrentFrontendTest, ReadersAcrossTablesRaceMaintenanceCorrectly) {
   ASSERT_TRUE(system.Query(sql_t).ok());
   ASSERT_TRUE(system.Query(sql_u).ok());
 
-  auto statements_on_t = [](uint64_t watermark) {
-    return (watermark + 1) / 2;  // t owns odd tickets 1, 3, 5, ...
-  };
-  auto statements_on_u = [](uint64_t watermark) { return watermark / 2; };
-
   std::atomic<bool> stop{false};
   struct TableReader {
+    std::string table;
     const std::string* sql;
     const std::vector<Relation>* expected;
-    std::function<size_t(uint64_t)> own_statements;
+    size_t initial_rows;
     std::vector<Observation> observations;
   };
   std::vector<TableReader> tracks(2);
-  tracks[0] = {&sql_t, &expected_t, statements_on_t, {}};
-  tracks[1] = {&sql_u, &expected_u, statements_on_u, {}};
+  tracks[0] = {"t", &sql_t, &expected_t, spec_t.num_rows, {}};
+  tracks[1] = {"u", &sql_u, &expected_u, spec_u.num_rows, {}};
+  // The table's own statement count as of a freshly opened view. A query
+  // opens its views after `before` and before `after`, and watermarks
+  // only grow, so it ran at a count inside [before, after].
+  auto own_statements = [&db](const TableReader& track) {
+    return db.OpenReadView().Find(track.table)->num_rows() -
+           track.initial_rows;
+  };
 
   std::vector<std::thread> readers;
   for (TableReader& track : tracks) {
     readers.emplace_back([&, track_ptr = &track] {
       while (!stop.load(std::memory_order_acquire)) {
         Observation obs;
-        obs.before = db.StableVersion();
+        obs.before = own_statements(*track_ptr);
         auto result = system.Query(*track_ptr->sql);
-        obs.after = db.StableVersion();
+        obs.after = own_statements(*track_ptr);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         obs.result = std::move(result).value();
         track_ptr->observations.push_back(std::move(obs));
@@ -359,30 +364,24 @@ TEST(ConcurrentFrontendTest, ReadersAcrossTablesRaceMaintenanceCorrectly) {
     }
   });
 
-  for (size_t k = 0; k < kStatements; ++k) {
-    const std::string table = (k % 2 == 0) ? "t" : "u";
-    ASSERT_TRUE(
-        system.UpdateBound(InsertStatement(table, k / 2, kStartId)).ok());
+  std::vector<std::thread> writers;
+  for (const TableReader& track : tracks) {
+    writers.emplace_back([&, table = track.table] {
+      for (size_t k = 0; k < kPerTable; ++k) {
+        ASSERT_TRUE(
+            system.UpdateBound(InsertStatement(table, k, kStartId)).ok());
+      }
+    });
   }
-  ASSERT_TRUE(system.WaitForIngest().ok());
+  for (std::thread& t : writers) t.join();
   stop.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
   maintainer.join();
 
+  EXPECT_EQ(db.StableVersion(), 2 * kPerTable);
   for (const TableReader& track : tracks) {
     for (const Observation& obs : track.observations) {
-      // Map the global watermark window onto the table's own statement
-      // counts; the result must match one of those serialized prefixes.
-      size_t lo = track.own_statements(obs.before);
-      size_t hi = track.own_statements(obs.after);
-      bool matched = false;
-      for (size_t v = lo; v <= hi && v < track.expected->size(); ++v) {
-        if (obs.result.SameBag((*track.expected)[v])) {
-          matched = true;
-          break;
-        }
-      }
-      ASSERT_TRUE(matched)
+      ASSERT_TRUE(MatchesSomeWatermark(obs, *track.expected))
           << *track.sql << " window [" << obs.before << ", " << obs.after
           << "] matched no serialized prefix:\n"
           << obs.result.ToString();
@@ -551,6 +550,105 @@ TEST(ConcurrentFrontendTest, FailedRepartitionSkipsSketchBookkeeping) {
   EXPECT_EQ(u_shard->unsketchable.size(), 1u);
   EXPECT_FALSE(entry->filter_tables.empty());
   EXPECT_EQ(entry->Snapshot()->epoch, epoch_before);
+}
+
+// ---- Racing producers against lock-free scanners ---------------------------
+
+TEST(ConcurrentFrontendTest, ProducersAndScannersRace) {
+  constexpr size_t kProducers = 4;
+  constexpr size_t kPerProducer = 50;
+  const std::vector<std::string> queries = {
+      "SELECT a, sum(b) AS s FROM edb GROUP BY a HAVING sum(b) > 10",
+      "SELECT a, sum(c) AS s FROM edb GROUP BY a HAVING sum(c) > 10"};
+  SyntheticSpec spec;
+  spec.name = "edb";
+  spec.num_rows = 500;
+  spec.num_groups = 20;
+  spec.seed = 3;
+  auto make_system = [&](Database* db) {
+    IMP_CHECK(CreateSyntheticTable(db, spec).ok());
+    auto system = std::make_unique<ImpSystem>(db, ImpConfig{});
+    IMP_CHECK(system
+                  ->RegisterPartition(
+                      RangePartition::EquiWidthInt("edb", "a", 1, 0, 19, 5))
+                  .ok());
+    for (const std::string& q : queries) IMP_CHECK(system->Query(q).ok());
+    return system;
+  };
+  // Producer p's statements: deterministic single-row bags (their union
+  // is order-independent).
+  auto apply_stream = [&](ImpSystem* system, size_t p) {
+    Rng rng(100 + p);
+    for (size_t i = 0; i < kPerProducer; ++i) {
+      BoundUpdate update;
+      update.kind = BoundUpdate::Kind::kInsert;
+      update.table = "edb";
+      update.rows.push_back(SyntheticRow(
+          spec, static_cast<int64_t>(10000 + p * kPerProducer + i), &rng));
+      ASSERT_TRUE(system->UpdateBound(update).ok());
+    }
+  };
+
+  Database db;
+  std::unique_ptr<ImpSystem> system = make_system(&db);
+  // Racing producers write the same table while a poller exercises the
+  // lock-free staleness probe and the shared-side window scan against the
+  // in-flight writer.
+  std::atomic<bool> done{false};
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] { apply_stream(system.get(), p); });
+  }
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      uint64_t stable = db.StableVersion();
+      if (db.HasPendingDelta("edb", 0)) {
+        ASSERT_LE(db.PendingDeltaCount("edb", 0), db.CurrentVersion());
+      }
+      TableDelta window = db.ScanDelta("edb", 0, stable);
+      // Every record a scan returns is published: its version is at or
+      // below the watermark read before the scan... or slightly newer if
+      // a writer published meanwhile — but never unpublished garbage.
+      for (const DeltaRecord& rec : window.records) {
+        ASSERT_GE(rec.row.size(), 1u);
+        ASSERT_LE(rec.version, db.CurrentVersion());
+      }
+      std::this_thread::yield();
+    }
+  });
+  for (std::thread& t : producers) t.join();
+  done.store(true, std::memory_order_release);
+  poller.join();
+
+  const uint64_t total = kProducers * kPerProducer;
+  EXPECT_EQ(db.StableVersion(), total);
+  EXPECT_EQ(db.CurrentVersion(), total);
+  EXPECT_EQ(db.PendingDeltaCount("edb", 0), total);
+  ASSERT_TRUE(system->MaintainAll().ok());
+
+  // Reference: the same row bags applied by one thread. Insertion order
+  // differs, but the final aggregates — and therefore the sketches and
+  // query results — are order-independent.
+  Database ref_db;
+  std::unique_ptr<ImpSystem> ref = make_system(&ref_db);
+  for (size_t p = 0; p < kProducers; ++p) apply_stream(ref.get(), p);
+  ASSERT_TRUE(ref->MaintainAll().ok());
+
+  auto entries = system->sketches().AllEntries();
+  auto ref_entries = ref->sketches().AllEntries();
+  ASSERT_EQ(entries.size(), ref_entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i]->sketch.fragments.SetBits(),
+              ref_entries[i]->sketch.fragments.SetBits())
+        << "sketch " << i;
+  }
+  for (const std::string& q : queries) {
+    auto got = system->Query(q);
+    auto want = ref->Query(q);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    EXPECT_TRUE(got.value().SameBag(want.value())) << q;
+  }
 }
 
 // ---- Delta-log truncation driven by MaintainAll ----------------------------

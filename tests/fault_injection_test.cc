@@ -1,5 +1,5 @@
 // Fault-injection tests: failpoints (common/failpoint.h) and the graceful
-// degradation they force out of the ingest / maintenance / query pipeline.
+// degradation they force out of the write / maintenance / query pipeline.
 // The invariant under test everywhere: a sketch only ever PRUNES work, so
 // with ANY single failpoint active, queries still return results
 // bit-identical to the fault-free run (degraded to plain scans at worst),
@@ -13,16 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
-#include "common/ingestion_queue.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "middleware/imp_system.h"
@@ -187,7 +183,7 @@ TEST_F(FaultInjectionTest, RegistryCountersTrackFires) {
   EXPECT_TRUE(found);
 }
 
-// ---- ThreadPool / IngestionQueue hardening ---------------------------------
+// ---- ThreadPool hardening --------------------------------------------------
 
 TEST_F(FaultInjectionTest, ParallelForCapturesEscapedExceptions) {
   ThreadPool pool(4);
@@ -200,56 +196,6 @@ TEST_F(FaultInjectionTest, ParallelForCapturesEscapedExceptions) {
   std::atomic<size_t> ran{0};
   EXPECT_TRUE(pool.ParallelFor(8, [&](size_t) { ++ran; }).ok());
   EXPECT_EQ(ran.load(), 8u);
-}
-
-TEST_F(FaultInjectionTest, QueueTimedPushAndClose) {
-  IngestionQueue<int> queue(1);
-  ASSERT_EQ(queue.PushWithUntil([] { return 1; },
-                                std::chrono::milliseconds(0)),
-            QueuePushOutcome::kOk);
-  // kReject shape: zero budget reports kFull immediately, and the factory
-  // must NOT have run (no version leak on a rejected push).
-  bool made = false;
-  EXPECT_EQ(queue.PushWithUntil(
-                [&] {
-                  made = true;
-                  return 2;
-                },
-                std::chrono::milliseconds(0)),
-            QueuePushOutcome::kFull);
-  EXPECT_FALSE(made);
-  // Timed block: expires while full.
-  EXPECT_EQ(queue.PushWithUntil([] { return 2; },
-                                std::chrono::milliseconds(30)),
-            QueuePushOutcome::kFull);
-
-  queue.Close();
-  EXPECT_TRUE(queue.closed());
-  EXPECT_EQ(queue.PushWithUntil([] { return 3; }, std::nullopt),
-            QueuePushOutcome::kClosed);
-  // Close still delivers what was queued, then reports exhaustion.
-  auto item = queue.TryPop();
-  ASSERT_TRUE(item.has_value());
-  EXPECT_EQ(*item, 1);
-  queue.TaskDone();
-  EXPECT_FALSE(queue.Pop().has_value());
-  queue.WaitIdle();
-}
-
-TEST_F(FaultInjectionTest, QueueCloseWakesBlockedProducer) {
-  IngestionQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  std::atomic<int> outcome{-1};
-  std::thread producer([&] {
-    // No wait budget: parked until space or Close().
-    outcome.store(static_cast<int>(
-        queue.PushWithUntil([] { return 2; }, std::nullopt)));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(outcome.load(), -1);  // still parked on the full queue
-  queue.Close();
-  producer.join();
-  EXPECT_EQ(outcome.load(), static_cast<int>(QueuePushOutcome::kClosed));
 }
 
 // ---- Capture failpoint: degraded capture heals on the next query -----------
@@ -582,228 +528,63 @@ TEST_F(FaultInjectionTest, QuarantineExcludesEntryUntilRepaired) {
   EXPECT_GT(system.stats().sketch_uses, uses_before);
 }
 
-// ---- Ingest apply failpoint: transient retry and poisoned dead-letter ------
-
-TEST_F(FaultInjectionTest, IngestApplyTransientFaultIsRetried) {
-  Database db, ref;
-  LoadSalesExample(&db);
-  LoadSalesExample(&ref);
-  ImpConfig config = SalesConfig();
-  config.async_ingestion = true;
-  config.failpoints = "ingest.apply=once";
-  ImpSystem system(&db, config);
-  ASSERT_TRUE(system.RegisterPartition(SalesPricePartition()).ok());
-
-  ASSERT_TRUE(system.Update(kNewRow8).ok());
-  ASSERT_TRUE(system.WaitForIngest().ok());  // retried, applied, no error
-  EXPECT_GE(system.stats().ingest_retries, 1u);
-  EXPECT_EQ(system.Health().dead_letter_size, 0u);
-
-  ASSERT_TRUE(ref.Insert("sales", {{Value::Int(8), Value::String("HP"),
-                                    Value::String("HP EliteBook 860 G9"),
-                                    Value::Int(1299), Value::Int(6)}})
-                  .ok());
-  EXPECT_TRUE(MustQuery(&system, kSalesQTop).SameBag(RefResult(ref, kSalesQTop)));
-}
-
-TEST_F(FaultInjectionTest, IngestApplyPoisonedStatementDeadLetters) {
-  Database db, ref;
-  LoadSalesExample(&db);
-  LoadSalesExample(&ref);  // the poisoned statement never lands
-  ImpConfig config = SalesConfig();
-  config.async_ingestion = true;
-  config.ingest_retry_limit = 2;
-  ImpSystem system(&db, config);
-  ASSERT_TRUE(system.RegisterPartition(SalesPricePartition()).ok());
-
-  ASSERT_TRUE(Registry().ArmFromSpec("ingest.apply=always").ok());
-  auto ticket = system.Update(kNewRow8);
-  ASSERT_TRUE(ticket.ok());  // the ticket is handed out before the apply
-  Status deferred = system.WaitForIngest();
-  ASSERT_FALSE(deferred.ok());
-  EXPECT_NE(deferred.ToString().find("failpoint fired: ingest.apply"),
-            std::string::npos);
-
-  // The statement is dead-lettered, its version retired: the watermark
-  // advances past it instead of wedging every future ReadView.
-  std::vector<DeadLetter> letters = system.DeadLetters();
-  ASSERT_EQ(letters.size(), 1u);
-  EXPECT_EQ(letters[0].update.table, "sales");
-  EXPECT_EQ(letters[0].version, ticket.value());
-  EXPECT_GE(db.StableVersion(), ticket.value());
-  EXPECT_EQ(system.stats().ingest_dead_letters, 1u);
-  EXPECT_EQ(system.Health().dead_letter_size, 1u);
-  EXPECT_TRUE(system.Health().ingest_worker_alive);  // poisoned != dead
-
-  // Queries serve the state WITHOUT the poisoned statement, bit-identical
-  // to a run that never saw it.
-  EXPECT_TRUE(MustQuery(&system, kSalesQTop).SameBag(RefResult(ref, kSalesQTop)));
-
-  // Fault clears: the worker (still alive) applies new statements; only
-  // the sticky first-error of WaitForIngest remembers the incident.
-  Registry().DisarmAll();
-  ASSERT_TRUE(system
-                  .Update("INSERT INTO sales VALUES (9,'HP',"
-                          "'HP ZBook Fury',2499,3)")
-                  .ok());
-  EXPECT_FALSE(system.WaitForIngest().ok());  // sticky deferred error
-  ASSERT_TRUE(ref.Insert("sales", {{Value::Int(9), Value::String("HP"),
-                                    Value::String("HP ZBook Fury"),
-                                    Value::Int(2499), Value::Int(3)}})
-                  .ok());
-  EXPECT_TRUE(MustQuery(&system, kSalesQTop).SameBag(RefResult(ref, kSalesQTop)));
-}
-
-// ---- Worker death: fail-stop without deadlock ------------------------------
-
-TEST_F(FaultInjectionTest, WorkerCrashFailStopsWithoutDeadlock) {
-  Database db;
-  LoadSalesExample(&db);
-  Relation expected = RefResult(db, kSalesQTop);
-  ImpConfig config = SalesConfig();
-  config.async_ingestion = true;
-  config.failpoints = "ingest.worker_crash=once";
-  ImpSystem system(&db, config);
-  ASSERT_TRUE(system.RegisterPartition(SalesPricePartition()).ok());
-
-  auto ticket = system.Update(kNewRow8);
-  ASSERT_TRUE(ticket.ok());  // enqueued before the worker died
-  // The drain barrier must return (with the death), never hang.
-  Status death = system.WaitForIngest();
-  ASSERT_FALSE(death.ok());
-  EXPECT_NE(death.ToString().find("worker_crash"), std::string::npos);
-
-  SystemHealth health = system.Health();
-  EXPECT_FALSE(health.ingest_worker_alive);
-  EXPECT_FALSE(health.last_ingest_error.empty());
-  EXPECT_EQ(health.dead_letter_size, 1u);  // the in-flight statement buried
-
-  // Producers fail fast with kUnavailable instead of parking forever.
-  auto rejected = system.Update(kNewRow8);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
-
-  // The watermark advanced past the buried ticket (versions retired), and
-  // the READ path keeps serving the last stable state.
-  EXPECT_GE(db.StableVersion(), ticket.value());
-  EXPECT_TRUE(MustQuery(&system, kSalesQTop).SameBag(expected));
-}
-
 // ---- Snapshot publication: retried, ultimately forced ----------------------
 
 TEST_F(FaultInjectionTest, PublishFaultIsRetriedThenForced) {
-  Database db;
-  LoadSalesExample(&db);
-  ImpConfig config;
-  config.mode = ExecutionMode::kNoSketch;  // exercise the bare write path
-  ImpSystem system(&db, config);
-
-  // Transient: the single shot is absorbed by the retry loop.
-  ASSERT_TRUE(Registry().ArmFromSpec("snapshot.publish=once").ok());
-  ASSERT_TRUE(system.Update(kNewRow8).ok());
-  EXPECT_EQ(db.publish_faults(), 1u);
-  EXPECT_EQ(db.forced_publishes(), 0u);
-  Relation after_one = RefResult(db, kSalesQTop);
-  EXPECT_TRUE(MustQuery(&system, kSalesQTop).SameBag(after_one));
-
-  // Persistent: publication is the one fault that may never win (a
-  // skipped publication under a retired version breaks superset safety),
-  // so after the retry budget it is forced through — the row is visible.
-  ASSERT_TRUE(Registry().ArmFromSpec("snapshot.publish=always").ok());
-  ASSERT_TRUE(system
-                  .Update("INSERT INTO sales VALUES (9,'HP',"
-                          "'HP ZBook Fury',2499,3)")
-                  .ok());
-  EXPECT_GE(db.forced_publishes(), 1u);
-  Registry().DisarmAll();
-  // The forced publication made the row visible despite the armed fault.
-  EXPECT_EQ(db.GetTable("sales")->Snapshot()->num_rows(), 9u);
-  EXPECT_TRUE(MustQuery(&system, kSalesQTop).SameBag(RefResult(db, kSalesQTop)));
-}
-
-TEST_F(FaultInjectionTest, AsyncPublishFaultIsAbsorbedByWorker) {
-  Database db, ref;
-  LoadSalesExample(&db);
-  LoadSalesExample(&ref);
-  ImpConfig config = SalesConfig();
-  config.async_ingestion = true;
-  config.publish_retry_limit = 2;
-  ImpSystem system(&db, config);
-  ASSERT_TRUE(system.RegisterPartition(SalesPricePartition()).ok());
-
-  ASSERT_TRUE(Registry().ArmFromSpec("snapshot.publish=always").ok());
-  ASSERT_TRUE(system.Update(kNewRow8).ok());
-  ASSERT_TRUE(system.WaitForIngest().ok());  // forced publication, no error
-  EXPECT_GE(system.stats().publish_retries, 1u);
-  EXPECT_GE(db.forced_publishes(), 1u);
-  Registry().DisarmAll();
-
-  ASSERT_TRUE(ref.Insert("sales", {{Value::Int(8), Value::String("HP"),
+  // Once on the bare write path, once with a live sketch that lazy repair
+  // must carry across the forced publication. Each leg's answers must
+  // equal a fault-free reference database's.
+  const std::vector<Tuple> row8 = {{Value::Int(8), Value::String("HP"),
                                     Value::String("HP EliteBook 860 G9"),
-                                    Value::Int(1299), Value::Int(6)}})
-                  .ok());
-  EXPECT_TRUE(MustQuery(&system, kSalesQTop).SameBag(RefResult(ref, kSalesQTop)));
-}
+                                    Value::Int(1299), Value::Int(6)}};
+  const std::vector<Tuple> row9 = {{Value::Int(9), Value::String("HP"),
+                                    Value::String("HP ZBook Fury"),
+                                    Value::Int(2499), Value::Int(3)}};
+  for (ExecutionMode mode :
+       {ExecutionMode::kNoSketch, ExecutionMode::kIncremental}) {
+    SCOPED_TRACE(mode == ExecutionMode::kNoSketch ? "no sketch" : "sketch");
+    Registry().Reset();
+    Database db, ref;
+    LoadSalesExample(&db);
+    LoadSalesExample(&ref);
+    ImpConfig config = SalesConfig();
+    config.mode = mode;
+    ImpSystem system(&db, config);
+    ASSERT_TRUE(system.RegisterPartition(SalesPricePartition()).ok());
+    EXPECT_TRUE(
+        MustQuery(&system, kSalesQTop).SameBag(RefResult(ref, kSalesQTop)));
 
-// ---- Queue-full policy at the system level ---------------------------------
+    // Transient: the single shot is absorbed by the retry loop.
+    ASSERT_TRUE(Registry().ArmFromSpec("snapshot.publish=once").ok());
+    ASSERT_TRUE(system.Update(kNewRow8).ok());
+    EXPECT_EQ(db.publish_faults(), 1u);
+    EXPECT_EQ(db.forced_publishes(), 0u);
+    ASSERT_TRUE(ref.Insert("sales", row8).ok());
+    EXPECT_TRUE(
+        MustQuery(&system, kSalesQTop).SameBag(RefResult(ref, kSalesQTop)));
 
-TEST_F(FaultInjectionTest, QueueFullPolicyRejectsOrTimesOut) {
-  // Deterministically wedge the worker: hold the sales write stripe so the
-  // popped statement blocks in StageIngestTask, then fill the queue.
-  Database db;
-  LoadSalesExample(&db);
-  ImpConfig config = SalesConfig();
-  config.async_ingestion = true;
-  config.ingest_queue_capacity = 1;
-  config.queue_full_policy = QueueFullPolicy::kReject;
-  ImpSystem system(&db, config);
-
-  auto stripe = db.WriteSession("sales");
-  ASSERT_TRUE(system.Update(kNewRow8).ok());  // popped, stuck on the stripe
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (system.Health().ingest_queue_depth != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // Persistent: publication is the one fault that may never win (a
+    // skipped publication under a retired version breaks superset
+    // safety), so after the retry budget it is forced through — the row is
+    // visible.
+    ASSERT_TRUE(Registry().ArmFromSpec("snapshot.publish=always").ok());
+    ASSERT_TRUE(system
+                    .Update("INSERT INTO sales VALUES (9,'HP',"
+                            "'HP ZBook Fury',2499,3)")
+                    .ok());
+    EXPECT_GE(db.forced_publishes(), 1u);
+    Registry().DisarmAll();
+    EXPECT_EQ(db.GetTable("sales")->Snapshot()->num_rows(), 9u);
+    ASSERT_TRUE(ref.Insert("sales", row9).ok());
+    EXPECT_TRUE(
+        MustQuery(&system, kSalesQTop).SameBag(RefResult(ref, kSalesQTop)));
+    if (mode == ExecutionMode::kIncremental) {
+      // Every answer came through the repaired sketch, none through the
+      // plain-scan fallback.
+      EXPECT_EQ(system.stats().sketch_uses, system.stats().queries);
+      EXPECT_EQ(system.stats().degraded_queries, 0u);
+    }
   }
-  ASSERT_EQ(system.Health().ingest_queue_depth, 0u);
-  ASSERT_TRUE(system.Update(kNewRow8).ok());  // fills the (capacity-1) queue
-  auto rejected = system.Update(kNewRow8);    // kReject: fail fast, no park
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
-  EXPECT_NE(rejected.status().ToString().find("queue full"),
-            std::string::npos);
-
-  stripe.unlock();
-  ASSERT_TRUE(system.WaitForIngest().ok());  // both accepted statements land
-
-  // kBlock + timeout: the producer waits, then gets the same verdict.
-  Database db2;
-  LoadSalesExample(&db2);
-  ImpConfig config2 = SalesConfig();
-  config2.async_ingestion = true;
-  config2.ingest_queue_capacity = 1;
-  config2.queue_full_policy = QueueFullPolicy::kBlock;
-  config2.ingest_push_timeout_ms = 40;
-  ImpSystem system2(&db2, config2);
-  auto stripe2 = db2.WriteSession("sales");
-  ASSERT_TRUE(system2.Update(kNewRow8).ok());
-  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (system2.Health().ingest_queue_depth != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(system2.Health().ingest_queue_depth, 0u);
-  ASSERT_TRUE(system2.Update(kNewRow8).ok());
-  auto start = std::chrono::steady_clock::now();
-  auto timed_out = system2.Update(kNewRow8);
-  ASSERT_FALSE(timed_out.ok());
-  EXPECT_EQ(timed_out.status().code(), StatusCode::kUnavailable);
-  EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count(),
-            30);  // actually waited (tolerates coarse clocks)
-  stripe2.unlock();
-  ASSERT_TRUE(system2.WaitForIngest().ok());
 }
 
 }  // namespace

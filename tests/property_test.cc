@@ -341,7 +341,6 @@ TEST_P(InterleavingProperty, SnapshotsStayMonotoneAndSupersetSafe) {
   config.strategy =
       seed % 2 == 0 ? MaintenanceStrategy::kLazy : MaintenanceStrategy::kEager;
   config.eager_batch_size = 3;
-  config.async_ingestion = seed % 3 == 0;
   ImpSystem system(&db, config);
   ASSERT_TRUE(system
                   .RegisterPartition(
@@ -404,7 +403,6 @@ TEST_P(InterleavingProperty, SnapshotsStayMonotoneAndSupersetSafe) {
       ASSERT_TRUE(system.RepartitionTable("t", "a", 5 + phase).ok());
     }
     for (std::thread& w : workers) w.join();
-    ASSERT_TRUE(system.WaitForIngest().ok());
 
     // ---- Observation point (quiescent) ----
     // First observe the possibly-stale mid-race snapshots: monotone, and

@@ -282,6 +282,8 @@ TEST(DatabaseTest, ScanDeltaVersionWindow) {
   EXPECT_EQ(db.ScanDelta("t", 0, 3).size(), 3u);
   // Empty window.
   EXPECT_EQ(db.ScanDelta("t", 3, 3).size(), 0u);
+  // A window strictly beyond the log is empty too.
+  EXPECT_TRUE(db.ScanDelta("t", 8, 12).empty());
 }
 
 TEST(DatabaseTest, ScanDeltaWithPushdownPredicate) {
@@ -473,6 +475,59 @@ TEST(ReadViewTest, BoundaryVersionsAroundStagedUnpublishedTail) {
   EXPECT_EQ(after.TableVersion("t"), 2u);
 }
 
+// ---- Watermark boundaries of the staged append path ------------------------
+
+TEST(WatermarkTest, StagedTailInvisibleUntilPublish) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", TwoColSchema()).ok());
+  ASSERT_TRUE(db.Insert("t", {Row(1, 1)}).ok());  // v1, published
+  ASSERT_EQ(db.StableVersion(), 1u);
+
+  // Stage a statement the way a writer does, but do not publish: the
+  // delta window (1, 2] lies entirely in the unpublished tail.
+  uint64_t v = db.AllocateVersion();
+  ASSERT_EQ(v, 2u);
+  ASSERT_TRUE(db.StageInsert("t", {Row(2, 2), Row(3, 3)}, v).ok());
+  EXPECT_EQ(db.CurrentVersion(), 2u);
+  EXPECT_EQ(db.StableVersion(), 1u);
+  EXPECT_FALSE(db.HasPendingDelta("t", 1));
+  EXPECT_EQ(db.PendingDeltaCount("t", 1), 0u);
+  EXPECT_TRUE(db.ScanDelta("t", 1, 2).empty());
+  EXPECT_EQ(db.GetTable("t")->delta_log().unpublished(), 2u);
+
+  db.PublishVersion("t", v);
+  EXPECT_EQ(db.StableVersion(), 2u);
+  EXPECT_TRUE(db.HasPendingDelta("t", 1));
+  EXPECT_EQ(db.PendingDeltaCount("t", 1), 2u);
+  EXPECT_EQ(db.ScanDelta("t", 1, 2).size(), 2u);
+  EXPECT_EQ(db.GetTable("t")->delta_log().unpublished(), 0u);
+}
+
+TEST(WatermarkTest, OutOfOrderPublishHoldsWatermarkBack) {
+  // Writers on different tables hold different stripes, so a later
+  // version can retire first.
+  Database db;
+  ASSERT_TRUE(db.CreateTable("a", TwoColSchema()).ok());
+  ASSERT_TRUE(db.CreateTable("b", TwoColSchema()).ok());
+  uint64_t v1 = db.AllocateVersion();
+  uint64_t v2 = db.AllocateVersion();
+  ASSERT_TRUE(db.StageInsert("a", {Row(1, 1)}, v1).ok());
+  ASSERT_TRUE(db.StageInsert("b", {Row(2, 2)}, v2).ok());
+
+  // v2 publishes first: its table log becomes visible, but the epoch cut
+  // cannot pass the still-unpublished v1.
+  db.PublishVersion("b", v2);
+  EXPECT_EQ(db.StableVersion(), 0u);
+  EXPECT_TRUE(db.HasPendingDelta("b", 0));
+  // A maintenance round cutting at the watermark sees neither statement.
+  EXPECT_TRUE(db.ScanDelta("b", 0, db.StableVersion()).empty());
+
+  db.PublishVersion("a", v1);
+  EXPECT_EQ(db.StableVersion(), 2u);
+  EXPECT_EQ(db.ScanDelta("a", 0, db.StableVersion()).size(), 1u);
+  EXPECT_EQ(db.ScanDelta("b", 0, db.StableVersion()).size(), 1u);
+}
+
 // ---- Segmented wait-free delta log -----------------------------------------
 
 TEST(DeltaLogTest, WindowScansAcrossSegmentBoundaries) {
@@ -528,76 +583,88 @@ TEST(DeltaLogTest, TruncationAtSegmentAndVersionBoundaries) {
 // ---- Concurrent publication vs. ReadView opening ---------------------------
 
 TEST(ReadViewTest, ConcurrentPublishesYieldConsistentViews) {
-  // One writer inserts single rows alternating between two tables while
-  // readers keep opening views: every view must satisfy the serialized
-  // invariant rows(a) + rows(b) == watermark (each statement adds exactly
-  // one row), per-table stamps never exceed the watermark, and snapshot
+  // Writers insert single rows into two tables while readers keep opening
+  // views: every view must satisfy the serialized invariant
+  // rows(a) + rows(b) == watermark (each statement adds exactly one row),
+  // per-table stamps never exceed the watermark, and snapshot
   // epochs/watermarks observed by one reader never go backwards. A
-  // truncator races the delta logs underneath the scans.
-  Database db;
-  ASSERT_TRUE(db.CreateTable("a", TwoColSchema()).ok());
-  ASSERT_TRUE(db.CreateTable("b", TwoColSchema()).ok());
-  constexpr size_t kStatements = 400;
-  std::atomic<bool> done{false};
+  // truncator races the delta logs underneath the scans. Two inputs with
+  // the same statements: one writer alternating the tables, and one
+  // writer per table, whose versions retire out of order.
+  for (size_t num_writers : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(num_writers) + " writer(s)");
+    Database db;
+    ASSERT_TRUE(db.CreateTable("a", TwoColSchema()).ok());
+    ASSERT_TRUE(db.CreateTable("b", TwoColSchema()).ok());
+    constexpr size_t kStatements = 4000;
+    std::atomic<bool> done{false};
 
-  std::thread writer([&] {
-    for (size_t k = 0; k < kStatements; ++k) {
-      const char* table = (k % 2 == 0) ? "a" : "b";
-      ASSERT_TRUE(db.Insert(table, {Row(static_cast<int64_t>(k), 1)}).ok());
-    }
-    done.store(true, std::memory_order_release);
-  });
-  std::thread truncator([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      db.TruncateDeltaLogs(db.StableVersion() / 2);
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&] {
-      uint64_t last_watermark = 0;
-      uint64_t last_epoch_a = 0;
-      bool running = true;
-      while (running) {
-        running = !done.load(std::memory_order_acquire);
-        ReadView view = db.OpenReadView();
-        uint64_t w = view.watermark();
-        ASSERT_GE(w, last_watermark);  // watermarks only move forward
-        last_watermark = w;
-        const TableSnapshot* a = view.Find("a");
-        const TableSnapshot* b = view.Find("b");
-        ASSERT_NE(a, nullptr);
-        ASSERT_NE(b, nullptr);
-        // The pinned set IS the serialized database at watermark w.
-        ASSERT_EQ(a->num_rows() + b->num_rows(), w);
-        ASSERT_LE(a->version(), w);
-        ASSERT_LE(b->version(), w);
-        ASSERT_GE(a->epoch(), last_epoch_a);  // monotone publication epochs
-        last_epoch_a = a->epoch();
-        // Wait-free window scans race the writer and the truncator; the
-        // returned records must stay within the window with non-decreasing
-        // versions regardless of what was truncated.
-        TableDelta delta = db.ScanDelta("a", w / 2, w);
-        uint64_t prev = 0;
-        for (const DeltaRecord& rec : delta.records) {
-          ASSERT_GT(rec.version, w / 2);
-          ASSERT_LE(rec.version, w);
-          ASSERT_GE(rec.version, prev);
-          prev = rec.version;
+    // Statement k goes to `a` when k is even, to `b` when odd; with two
+    // writers each owns one table.
+    std::vector<std::thread> writers;
+    for (size_t w = 0; w < num_writers; ++w) {
+      writers.emplace_back([&, w] {
+        for (size_t k = w; k < kStatements; k += num_writers) {
+          const char* table = (k % 2 == 0) ? "a" : "b";
+          ASSERT_TRUE(
+              db.Insert(table, {Row(static_cast<int64_t>(k), 1)}).ok());
         }
+      });
+    }
+    std::thread truncator([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        db.TruncateDeltaLogs(db.StableVersion() / 2);
+        std::this_thread::yield();
       }
     });
-  }
-  writer.join();
-  truncator.join();
-  for (std::thread& t : readers) t.join();
 
-  ReadView final_view = db.OpenReadView();
-  EXPECT_EQ(final_view.watermark(), kStatements);
-  EXPECT_EQ(final_view.Find("a")->num_rows() + final_view.Find("b")->num_rows(),
-            kStatements);
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&] {
+        uint64_t last_watermark = 0;
+        uint64_t last_epoch_a = 0;
+        bool running = true;
+        while (running) {
+          running = !done.load(std::memory_order_acquire);
+          ReadView view = db.OpenReadView();
+          uint64_t w = view.watermark();
+          ASSERT_GE(w, last_watermark);  // watermarks only move forward
+          last_watermark = w;
+          const TableSnapshot* a = view.Find("a");
+          const TableSnapshot* b = view.Find("b");
+          ASSERT_NE(a, nullptr);
+          ASSERT_NE(b, nullptr);
+          // The pinned set IS the serialized database at watermark w.
+          ASSERT_EQ(a->num_rows() + b->num_rows(), w);
+          ASSERT_LE(a->version(), w);
+          ASSERT_LE(b->version(), w);
+          ASSERT_GE(a->epoch(), last_epoch_a);  // monotone publication epochs
+          last_epoch_a = a->epoch();
+          // Wait-free window scans race the writers and the truncator; the
+          // returned records must stay within the window with
+          // non-decreasing versions regardless of what was truncated.
+          TableDelta delta = db.ScanDelta("a", w / 2, w);
+          uint64_t prev = 0;
+          for (const DeltaRecord& rec : delta.records) {
+            ASSERT_GT(rec.version, w / 2);
+            ASSERT_LE(rec.version, w);
+            ASSERT_GE(rec.version, prev);
+            prev = rec.version;
+          }
+        }
+      });
+    }
+    for (std::thread& t : writers) t.join();
+    done.store(true, std::memory_order_release);
+    truncator.join();
+    for (std::thread& t : readers) t.join();
+
+    ReadView final_view = db.OpenReadView();
+    EXPECT_EQ(final_view.watermark(), kStatements);
+    EXPECT_EQ(
+        final_view.Find("a")->num_rows() + final_view.Find("b")->num_rows(),
+        kStatements);
+  }
 }
 
 // ---- Snapshot index shards: equivalence and concurrency --------------------
